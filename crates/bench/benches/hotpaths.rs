@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: DIR-24-8
-//! LPM lookup, the discrete-event engine, the latency histogram, and one
-//! cycle of the out-of-order pipeline model.
+//! LPM build and lookup, one Figure 7 server point, the discrete-event
+//! engine, the latency histogram, and one cycle of the out-of-order
+//! pipeline model.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -10,20 +11,17 @@ use xui_core::model::{CoreId, ProtocolModel};
 use xui_core::vectors::UserVector;
 use xui_des::engine::Engine;
 use xui_des::stats::Histogram;
-use xui_kernel::{TimeSource, TimerCoreSim};
+use xui_kernel::{PreemptMechanism, TimeSource, TimerCoreSim};
 use xui_net::lpm::Lpm;
 use xui_net::traffic::paper_route_table;
+use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
 use xui_sim::{Device, Program, System};
 use xui_telemetry::NullRecorder;
 
 fn bench_lpm_lookup(c: &mut Criterion) {
-    let routes = paper_route_table(1);
-    let mut lpm = Lpm::new();
-    for r in &routes {
-        lpm.add(*r);
-    }
+    let lpm = Lpm::from_routes(&paper_route_table(1));
     let mut rng = StdRng::seed_from_u64(2);
     let probes: Vec<u32> = (0..1024).map(|_| rng.gen()).collect();
     let mut i = 0;
@@ -32,6 +30,25 @@ fn bench_lpm_lookup(c: &mut Criterion) {
             i = (i + 1) & 1023;
             black_box(lpm.lookup(black_box(probes[i])))
         })
+    });
+}
+
+fn bench_lpm_build(c: &mut Criterion) {
+    // The one-pass build behind every `run_l3fwd` call: 2^24 tbl24
+    // entries written once, then the /25+ routes' tbl8 groups.
+    let routes = paper_route_table(1);
+    c.bench_function("lpm_build_16k_routes", |b| {
+        b.iter(|| black_box(Lpm::from_routes(black_box(&routes)).len()))
+    });
+}
+
+fn bench_server_point(c: &mut Criterion) {
+    // One Figure 7 point near saturation: xUI KB_Timer preemption at
+    // 275 krps over 60 ms of simulated time.
+    let mut cfg = ServerConfig::paper(PreemptMechanism::XuiKbTimer, 275_000.0);
+    cfg.duration = 120_000_000;
+    c.bench_function("server_fig7_xui_275k", |b| {
+        b.iter(|| black_box(run_server(black_box(&cfg)).completed_gets))
     });
 }
 
@@ -205,9 +222,9 @@ fn bench_timer_core_null_telemetry(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_lpm_lookup, bench_event_engine, bench_event_engine_churn,
-              bench_histogram, bench_pipeline, bench_protocol_send_deliver,
-              bench_cycle_sim_senduipi, bench_halted_bulk_skip,
+    targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
+              bench_event_engine_churn, bench_histogram, bench_pipeline,
+              bench_protocol_send_deliver, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }
 criterion_main!(benches);

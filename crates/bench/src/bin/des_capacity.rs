@@ -167,9 +167,11 @@ fn main() {
     table.print();
     println!("\n  total wall-clock: {total_ms:.0} ms");
 
-    xui_bench::record_des_capacity(&rows);
-
     let mut failed = false;
+    if let Err(e) = xui_bench::record_des_capacity(&rows) {
+        eprintln!("des_capacity: FAIL — {e}");
+        failed = true;
+    }
     if let Some(budget) = budget_ms {
         if total_ms > budget as f64 {
             eprintln!("des_capacity: FAIL — {total_ms:.0} ms exceeds --budget-ms {budget}");

@@ -14,6 +14,7 @@ pub mod sweep;
 pub mod timeline;
 
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -118,18 +119,28 @@ pub fn render_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).unwrap_or_default()
 }
 
-/// Saves a serializable result as `results/<id>.json` (best effort).
-pub fn save_json<T: Serialize>(id: &str, value: &T) {
+/// Saves a serializable result as `results/<id>.json`, and prints a
+/// `[saved …]` note once the bytes are on disk.
+///
+/// # Errors
+///
+/// Fails if `results/` cannot be created, the value does not render as
+/// JSON, or the file cannot be written; the error names the path.
+pub fn save_json<T: Serialize>(id: &str, value: &T) -> io::Result<()> {
     let dir = PathBuf::from("results");
-    if fs::create_dir_all(&dir).is_err() {
-        return;
-    }
     let path = dir.join(format!("{id}.json"));
+    let at = |e: io::Error| {
+        io::Error::new(e.kind(), format!("cannot save {}: {e}", path.display()))
+    };
+    fs::create_dir_all(&dir).map_err(at)?;
     let json = render_json(value);
-    if !json.is_empty() {
-        let _ = fs::write(&path, json);
-        println!("\n    [saved {}]", path.display());
+    if json.is_empty() {
+        let e = io::Error::new(io::ErrorKind::InvalidData, "result does not render as JSON");
+        return Err(at(e));
     }
+    fs::write(&path, json).map_err(at)?;
+    println!("\n    [saved {}]", path.display());
+    Ok(())
 }
 
 /// Wall-clock record written to `results/BENCH_sweep.json` when a figure
@@ -224,7 +235,9 @@ where
         1.0
     };
     meta.identical &= identical;
-    merge_bench_sweep(meta.to_value());
+    if let Err(e) = merge_bench_sweep(meta.to_value()) {
+        eprintln!("error: {e}");
+    }
 
     parallel
 }
@@ -235,7 +248,11 @@ where
 /// (but still computed by the caller) when `--bench-meta` is off and no
 /// record exists yet — in that case a fresh record is created so the
 /// numbers are not lost.
-pub fn record_telemetry_overhead(bin: &str, null_ms: f64, ring_ms: f64) {
+///
+/// # Errors
+///
+/// Fails if `results/BENCH_sweep.json` cannot be written.
+pub fn record_telemetry_overhead(bin: &str, null_ms: f64, ring_ms: f64) -> io::Result<()> {
     let mut guard = BENCH_META.lock().expect("bench meta lock");
     let meta = guard.get_or_insert_with(|| BenchMeta {
         bin: bin.to_string(),
@@ -255,7 +272,7 @@ pub fn record_telemetry_overhead(bin: &str, null_ms: f64, ring_ms: f64) {
     meta.telemetry_ring_ms = Some(ring_ms);
     meta.telemetry_ring_vs_null_ratio =
         if null_ms > 0.0 { Some(ring_ms / null_ms) } else { None };
-    merge_bench_sweep(meta.to_value());
+    merge_bench_sweep(meta.to_value())
 }
 
 /// One point of the DES capacity benchmark (`des_capacity`): a given
@@ -286,8 +303,12 @@ pub struct CapacityRow {
 /// preserving whatever `--bench-meta` record another binary already
 /// wrote there (and vice versa — the sweep-meta writers keep these
 /// rows).
-pub fn record_des_capacity(rows: &[CapacityRow]) {
-    record_bench_section("des_capacity", &rows);
+///
+/// # Errors
+///
+/// Fails if `results/BENCH_sweep.json` cannot be written.
+pub fn record_des_capacity(rows: &[CapacityRow]) -> io::Result<()> {
+    record_bench_section("des_capacity", &rows)
 }
 
 /// Merges `value` into `results/BENCH_sweep.json` under the top-level
@@ -295,8 +316,12 @@ pub fn record_des_capacity(rows: &[CapacityRow]) {
 /// telemetry timings, `des_capacity`, the serve load report, ...). This
 /// is the one write path for that shared file — use it instead of
 /// `save_json` whenever a binary contributes a section.
-pub fn record_bench_section<T: Serialize>(key: &str, value: &T) {
-    merge_bench_sweep(serde::Value::Object(vec![(key.to_string(), value.to_value())]));
+///
+/// # Errors
+///
+/// Fails if `results/BENCH_sweep.json` cannot be written.
+pub fn record_bench_section<T: Serialize>(key: &str, value: &T) -> io::Result<()> {
+    merge_bench_sweep(serde::Value::Object(vec![(key.to_string(), value.to_value())]))
 }
 
 /// Merges `patch`'s top-level keys into `results/BENCH_sweep.json`.
@@ -304,7 +329,7 @@ pub fn record_bench_section<T: Serialize>(key: &str, value: &T) {
 /// meta from any `--bench-meta` run, telemetry timing from fig6, the
 /// `des_capacity` rows), so a plain overwrite would drop the other
 /// writers' sections.
-fn merge_bench_sweep(patch: serde::Value) {
+fn merge_bench_sweep(patch: serde::Value) -> io::Result<()> {
     use serde::Value;
     let path = PathBuf::from("results").join("BENCH_sweep.json");
     let mut entries = match fs::read_to_string(&path)
@@ -322,7 +347,7 @@ fn merge_bench_sweep(patch: serde::Value) {
             }
         }
     }
-    save_json("BENCH_sweep", &Value::Object(entries));
+    save_json("BENCH_sweep", &Value::Object(entries))
 }
 
 /// Writes a single-group Chrome trace to `path` (best effort, with a
@@ -357,8 +382,12 @@ pub fn save_trace_points(path: &std::path::Path, points: &[Vec<xui_telemetry::Ev
 }
 
 /// Saves a merged metrics snapshot as `results/metrics_<id>.json`.
-pub fn save_metrics(id: &str, snapshot: &xui_telemetry::MetricsSnapshot) {
-    save_json(&format!("metrics_{id}"), snapshot);
+///
+/// # Errors
+///
+/// As [`save_json`].
+pub fn save_metrics(id: &str, snapshot: &xui_telemetry::MetricsSnapshot) -> io::Result<()> {
+    save_json(&format!("metrics_{id}"), snapshot)
 }
 
 /// Formats a cycle count as microseconds at the paper's 2 GHz clock.

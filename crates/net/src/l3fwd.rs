@@ -213,10 +213,7 @@ fn run_l3fwd_impl<R: Recorder>(
 ) -> L3fwdReport {
     assert!(cfg.nics > 0, "need at least one NIC");
     let routes = paper_route_table(cfg.seed);
-    let mut lpm = Lpm::new();
-    for r in &routes {
-        lpm.add(*r);
-    }
+    let lpm = Lpm::from_routes(&routes);
 
     // Offered load: fraction of the worker's pure-forwarding capacity.
     let total_rate = cfg.load / cfg.per_packet_cost as f64;

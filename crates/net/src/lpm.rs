@@ -5,6 +5,22 @@
 //! A 2^24-entry first-level table resolves prefixes up to /24 in one
 //! memory access; longer prefixes indirect into 256-entry second-level
 //! groups.
+//!
+//! Two ways to fill a table, with identical results array for array:
+//!
+//! - [`Lpm::from_routes`] builds a whole table in one pass. It writes
+//!   each of the 2^24 first-level entries once, left to right, from the
+//!   sorted /24-and-shorter prefixes, then installs the /25+ routes. On
+//!   the paper's 16k-route table this is tens of milliseconds.
+//! - [`Lpm::add`] installs one route into a live table. It repaints every
+//!   first-level entry the prefix covers (2^(24 − depth) of them, so a /8
+//!   costs 65 536 writes) plus the second-level groups inside it, which
+//!   makes a 16k-route `add` loop several times slower than
+//!   `from_routes`.
+//!
+//! [`Lpm::delete`] rebuilds through the same one-pass path.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +33,10 @@ const TBL8_GROUP: usize = 256;
 /// next hop.
 const EXT: u16 = 0x8000;
 const INVALID: u16 = u16::MAX;
+/// Depth recorded for a tbl24 entry that points into a tbl8 group. It
+/// exceeds every /24-or-shorter depth, so painting a short route skips
+/// the entry without a branch on its flag. Invalid entries have depth 0.
+const EXT_DEPTH: u8 = u8::MAX;
 
 /// One routing rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,20 +95,25 @@ impl Route {
 /// assert_eq!(lpm.lookup(0x0a010304), Some(2), "longest prefix wins");
 /// assert_eq!(lpm.lookup(0x0b000000), None);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Lpm {
     tbl24: Vec<u16>,
+    /// Depth of the route behind each tbl24 entry: 0 if invalid,
+    /// [`EXT_DEPTH`] if the entry points into a tbl8 group.
     tbl24_depth: Vec<u8>,
     tbl8: Vec<u16>,
     tbl8_depth: Vec<u8>,
-    rules: Vec<Route>,
+    /// Installed rules: `(depth, prefix)` → next hop.
+    rules: BTreeMap<(u8, u32), NextHop>,
+    /// tbl24 index → tbl8 group, for every entry that points into one.
+    groups: BTreeMap<u32, u16>,
 }
 
 impl std::fmt::Debug for Lpm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lpm")
             .field("rules", &self.rules.len())
-            .field("tbl8_groups", &(self.tbl8.len() / TBL8_GROUP))
+            .field("tbl8_groups", &self.groups.len())
             .finish()
     }
 }
@@ -103,13 +128,28 @@ impl Lpm {
     /// Creates an empty table.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            tbl24: vec![INVALID; TBL24_SIZE],
-            tbl24_depth: vec![0; TBL24_SIZE],
+        Self::from_routes(&[])
+    }
+
+    /// Builds the table holding `routes` in one pass. When a
+    /// `(prefix, depth)` pair repeats, the last next hop wins, exactly as
+    /// if the routes were [`add`](Self::add)ed in order; the resulting
+    /// arrays, tbl8 group numbering included, equal those of that `add`
+    /// loop.
+    #[must_use]
+    pub fn from_routes(routes: &[Route]) -> Self {
+        let mut lpm = Self {
+            tbl24: Vec::with_capacity(TBL24_SIZE),
+            tbl24_depth: Vec::with_capacity(TBL24_SIZE),
             tbl8: Vec::new(),
             tbl8_depth: Vec::new(),
-            rules: Vec::new(),
-        }
+            rules: BTreeMap::new(),
+            groups: BTreeMap::new(),
+        };
+        // One insert per route, in order: a repeated pair keeps the last hop.
+        lpm.rules.extend(routes.iter().map(|r| ((r.depth, r.prefix), r.next_hop)));
+        lpm.build(routes.iter().filter(|r| r.depth > 24).copied());
+        lpm
     }
 
     /// Number of installed rules.
@@ -124,23 +164,16 @@ impl Lpm {
         self.rules.is_empty()
     }
 
-    /// Installed rules (diagnostics / rebuild).
-    #[must_use]
-    pub fn rules(&self) -> &[Route] {
-        &self.rules
-    }
-
-    fn alloc_tbl8(&mut self) -> usize {
-        let group = self.tbl8.len() / TBL8_GROUP;
-        self.tbl8.extend(std::iter::repeat_n(INVALID, TBL8_GROUP));
-        self.tbl8_depth.extend(std::iter::repeat_n(0, TBL8_GROUP));
-        group
+    /// Installed rules, shallowest first and by prefix within a depth.
+    pub fn rules(&self) -> impl Iterator<Item = Route> + '_ {
+        self.rules
+            .iter()
+            .map(|(&(depth, prefix), &next_hop)| Route { prefix, depth, next_hop })
     }
 
     /// Adds (or overwrites) a route.
     pub fn add(&mut self, route: Route) {
-        self.rules.retain(|r| !(r.prefix == route.prefix && r.depth == route.depth));
-        self.rules.push(route);
+        self.rules.insert((route.depth, route.prefix), route.next_hop);
         if route.depth <= 24 {
             self.add_short(route);
         } else {
@@ -150,55 +183,80 @@ impl Lpm {
 
     fn add_short(&mut self, route: Route) {
         let first = (route.prefix >> 8) as usize;
-        let count = 1usize << (24 - route.depth);
-        for idx in first..first + count {
-            let entry = self.tbl24[idx];
-            if entry != INVALID && entry & EXT != 0 {
-                // Push into the existing tbl8 group where shallower.
-                let group = (entry & !EXT) as usize;
-                for off in 0..TBL8_GROUP {
-                    let t8 = group * TBL8_GROUP + off;
-                    if self.tbl8[t8] == INVALID || self.tbl8_depth[t8] <= route.depth {
-                        self.tbl8[t8] = route.next_hop;
-                        self.tbl8_depth[t8] = route.depth;
-                    }
-                }
-            } else if entry == INVALID || self.tbl24_depth[idx] <= route.depth {
-                self.tbl24[idx] = route.next_hop;
-                self.tbl24_depth[idx] = route.depth;
-            }
+        let span = first..first + (1usize << (24 - route.depth));
+        paint(&mut self.tbl24[span.clone()], &mut self.tbl24_depth[span.clone()], route);
+        // The EXT entries kept their group pointers; push the route into
+        // those groups where it is at least as deep.
+        for (_, &group) in self.groups.range(span.start as u32..span.end as u32) {
+            let cells = usize::from(group) * TBL8_GROUP..(usize::from(group) + 1) * TBL8_GROUP;
+            paint(&mut self.tbl8[cells.clone()], &mut self.tbl8_depth[cells], route);
         }
     }
 
     fn add_long(&mut self, route: Route) {
-        let idx = (route.prefix >> 8) as usize;
-        let entry = self.tbl24[idx];
-        let group = if entry != INVALID && entry & EXT != 0 {
-            (entry & !EXT) as usize
-        } else {
-            let group = self.alloc_tbl8();
-            // Seed the new group with the covering short route, if any.
-            let (fill, fill_depth) = if entry == INVALID {
-                (INVALID, 0)
-            } else {
-                (entry, self.tbl24_depth[idx])
-            };
-            for off in 0..TBL8_GROUP {
-                self.tbl8[group * TBL8_GROUP + off] = fill;
-                self.tbl8_depth[group * TBL8_GROUP + off] = fill_depth;
+        let idx = route.prefix >> 8;
+        let group = match self.groups.get(&idx) {
+            Some(&group) => usize::from(group),
+            None => {
+                let group = self.tbl8.len() / TBL8_GROUP;
+                // Seed the new group with the covering short route, if any.
+                let at = idx as usize;
+                self.tbl8.extend(std::iter::repeat_n(self.tbl24[at], TBL8_GROUP));
+                self.tbl8_depth.extend(std::iter::repeat_n(self.tbl24_depth[at], TBL8_GROUP));
+                self.tbl24[at] = EXT | group as u16;
+                self.tbl24_depth[at] = EXT_DEPTH;
+                self.groups.insert(idx, group as u16);
+                group
             }
-            self.tbl24[idx] = EXT | group as u16;
-            self.tbl24_depth[idx] = 0;
-            group
         };
-        let first = (route.prefix & 0xff) as usize;
-        let count = 1usize << (32 - route.depth);
-        for off in first..first + count {
-            let t8 = group * TBL8_GROUP + off;
-            if self.tbl8[t8] == INVALID || self.tbl8_depth[t8] <= route.depth {
-                self.tbl8[t8] = route.next_hop;
-                self.tbl8_depth[t8] = route.depth;
+        let first = group * TBL8_GROUP + (route.prefix & 0xff) as usize;
+        let span = first..first + (1usize << (32 - route.depth));
+        paint(&mut self.tbl8[span.clone()], &mut self.tbl8_depth[span], route);
+    }
+
+    /// Rewrites both levels from `self.rules`: tbl24 in one left-to-right
+    /// pass over the sorted /24-and-shorter rules, then the `long` (/25+)
+    /// routes in order, which numbers the tbl8 groups by first use. The
+    /// table's allocations are reused, so no second table is ever live.
+    fn build(&mut self, long: impl IntoIterator<Item = Route>) {
+        // Prefixes of /24 or shorter are nested or disjoint, so sorted by
+        // (first entry, depth) the ones covering the cursor form a stack.
+        let mut short: Vec<(u32, u8, NextHop)> = self
+            .rules
+            .range(..(25, 0))
+            .map(|(&(depth, prefix), &hop)| (prefix >> 8, depth, hop))
+            .collect();
+        short.sort_unstable();
+        self.tbl24.clear();
+        self.tbl24_depth.clear();
+        self.tbl8.clear();
+        self.tbl8_depth.clear();
+        self.groups.clear();
+        // (end, next hop, depth) of the open prefixes, innermost last.
+        let mut open: Vec<(usize, NextHop, u8)> = Vec::new();
+        for (first, depth, hop) in short {
+            let first = first as usize;
+            self.fill_to(first, &mut open);
+            open.push((first + (1usize << (24 - depth)), hop, depth));
+        }
+        self.fill_to(TBL24_SIZE, &mut open);
+        for route in long {
+            self.add_long(route);
+        }
+    }
+
+    /// Appends tbl24 entries up to index `to`, each taking the innermost
+    /// open prefix that covers it.
+    fn fill_to(&mut self, to: usize, open: &mut Vec<(usize, NextHop, u8)>) {
+        while self.tbl24.len() < to {
+            let at = self.tbl24.len();
+            while open.last().is_some_and(|&(end, ..)| end <= at) {
+                open.pop();
             }
+            let (end, hop, depth) = open.last().copied().unwrap_or((to, INVALID, 0));
+            let end = end.min(to);
+            self.tbl24.resize(end, hop);
+            self.tbl24_depth.resize(end, depth);
         }
     }
 
@@ -225,24 +283,23 @@ impl Lpm {
     /// Removes a route (by prefix/depth) and rebuilds the tables.
     /// Returns true if a rule was removed.
     pub fn delete(&mut self, prefix: u32, depth: u8) -> bool {
-        let masked = prefix & Route::mask(depth);
-        let before = self.rules.len();
-        self.rules.retain(|r| !(r.prefix == masked && r.depth == depth));
-        if self.rules.len() == before {
+        if self.rules.remove(&(depth, prefix & Route::mask(depth))).is_none() {
             return false;
         }
-        let rules = std::mem::take(&mut self.rules);
-        self.tbl24.iter_mut().for_each(|e| *e = INVALID);
-        self.tbl24_depth.iter_mut().for_each(|d| *d = 0);
-        self.tbl8.clear();
-        self.tbl8_depth.clear();
-        // Reinsert shallow-to-deep so depth precedence is reconstructed.
-        let mut sorted = rules;
-        sorted.sort_by_key(|r| r.depth);
-        for r in sorted {
-            self.add(r);
-        }
+        let long: Vec<Route> = self.rules().filter(|r| r.depth > 24).collect();
+        self.build(long);
         true
+    }
+}
+
+/// Writes `route` over every entry it is at least as deep as. Invalid
+/// entries have depth 0 and tbl24 group pointers [`EXT_DEPTH`], so one
+/// branch-free select per entry covers every case.
+fn paint(hops: &mut [NextHop], depths: &mut [u8], route: Route) {
+    for (hop, depth) in hops.iter_mut().zip(depths) {
+        let take = *depth <= route.depth;
+        *hop = if take { route.next_hop } else { *hop };
+        *depth = if take { route.depth } else { *depth };
     }
 }
 
@@ -340,12 +397,64 @@ mod tests {
             assert_eq!(lpm.lookup(ip), linear_lookup(&rules, ip), "ip={ip:#x}");
         }
     }
+
+    #[test]
+    fn one_pass_build_equals_add_loop_on_paper_tables() {
+        for seed in [1, 2, 3] {
+            let routes = crate::traffic::paper_route_table(seed);
+            assert_same(&Lpm::from_routes(&routes), &add_loop(&routes));
+        }
+    }
+
+    /// The table built by adding `routes` one at a time.
+    pub(super) fn add_loop(routes: &[Route]) -> Lpm {
+        let mut lpm = Lpm::new();
+        for &r in routes {
+            lpm.add(r);
+        }
+        lpm
+    }
+
+    fn same_array<T: PartialEq + std::fmt::Debug>(name: &str, got: &[T], want: &[T]) {
+        assert_eq!(got.len(), want.len(), "{name} length");
+        if let Some(i) = got.iter().zip(want).position(|(g, w)| g != w) {
+            panic!("{name}[{i:#x}]: got {:?}, want {:?}", got[i], want[i]);
+        }
+    }
+
+    /// Asserts the two tables are equal array for array.
+    pub(super) fn assert_same(got: &Lpm, want: &Lpm) {
+        same_array("tbl24", &got.tbl24, &want.tbl24);
+        same_array("tbl24_depth", &got.tbl24_depth, &want.tbl24_depth);
+        same_array("tbl8", &got.tbl8, &want.tbl8);
+        same_array("tbl8_depth", &got.tbl8_depth, &want.tbl8_depth);
+        assert_eq!(got.rules, want.rules, "rules");
+        assert_eq!(got.groups, want.groups, "tbl24 → group index");
+    }
+
+    /// `lpm` with its tbl8 groups renumbered in tbl24 order, so tables
+    /// that installed their /25+ routes in different orders compare
+    /// equal when they hold the same entries.
+    pub(super) fn canonical(lpm: &Lpm) -> Lpm {
+        let mut out = lpm.clone();
+        out.tbl8.clear();
+        out.tbl8_depth.clear();
+        for (new, (&idx, group)) in out.groups.iter_mut().enumerate() {
+            let old = usize::from(*group) * TBL8_GROUP..(usize::from(*group) + 1) * TBL8_GROUP;
+            out.tbl8.extend_from_slice(&lpm.tbl8[old.clone()]);
+            out.tbl8_depth.extend_from_slice(&lpm.tbl8_depth[old]);
+            *group = new as u16;
+            out.tbl24[idx as usize] = EXT | new as u16;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
+    use super::tests::{add_loop, assert_same, canonical};
     use super::*;
 
     fn route_strategy() -> impl Strategy<Value = Route> {
@@ -380,5 +489,54 @@ mod proptests {
                 prop_assert_eq!(lpm.lookup(hi), linear_lookup(&rules, hi));
             }
         }
+
+        /// The one-pass build equals the `add` loop array for array.
+        #[test]
+        fn one_pass_build_equals_add_loop(routes in clustered_routes()) {
+            assert_same(&Lpm::from_routes(&routes), &add_loop(&routes));
+        }
+
+        /// Deleting a rule leaves the table that adding the remaining
+        /// routes builds (tbl8 groups may be numbered differently), and
+        /// the rebuild equals the one-pass build of the remaining rules.
+        #[test]
+        fn delete_equals_building_without_the_rule(
+            routes in clustered_routes(),
+            pick in any::<usize>(),
+        ) {
+            let victim = routes[pick % routes.len()];
+            let mut lpm = Lpm::from_routes(&routes);
+            prop_assert!(lpm.delete(victim.prefix, victim.depth));
+            let remaining: Vec<Route> = routes
+                .iter()
+                .filter(|r| (r.prefix, r.depth) != (victim.prefix, victim.depth))
+                .copied()
+                .collect();
+            assert_same(&canonical(&lpm), &canonical(&add_loop(&remaining)));
+            assert_same(&lpm, &Lpm::from_routes(&lpm.rules().collect::<Vec<_>>()));
+        }
+    }
+
+    /// Route sets built around four /24s: short routes (/4–/24) cover
+    /// them, several /25–/32 routes share each one, routes arrive in any
+    /// depth order, and a tail re-adds earlier `(prefix, depth)` pairs
+    /// with new next hops.
+    fn clustered_routes() -> impl Strategy<Value = Vec<Route>> {
+        (
+            proptest::collection::vec(any::<u32>(), 4..5),
+            proptest::collection::vec((0usize..4, any::<u8>(), 4u8..=32, 0u16..8), 1..40),
+            proptest::collection::vec((any::<usize>(), 8u16..16), 0..8),
+        )
+            .prop_map(|(bases, routes, repeats)| {
+                let mut out: Vec<Route> = routes
+                    .into_iter()
+                    .map(|(b, low, depth, hop)| Route::new(bases[b] | u32::from(low), depth, hop))
+                    .collect();
+                for (i, hop) in repeats {
+                    let r = out[i % out.len()];
+                    out.push(Route::new(r.prefix, r.depth, hop));
+                }
+                out
+            })
     }
 }

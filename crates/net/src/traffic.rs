@@ -117,10 +117,7 @@ mod tests {
     #[test]
     fn generated_packets_are_monotonic_and_routable() {
         let routes = paper_route_table(7);
-        let mut lpm = Lpm::new();
-        for r in &routes {
-            lpm.add(*r);
-        }
+        let lpm = Lpm::from_routes(&routes);
         let mut gen = TrafficGen::new(0.001, &routes, 3, 256);
         let mut rng = StdRng::seed_from_u64(9);
         let mut last = 0;

@@ -9,9 +9,6 @@
 //! cost charged to the worker (and whether a separate core must serve as
 //! the time source).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -110,13 +107,90 @@ impl ServerReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival,
     /// Periodic preemption-timer fire on a worker.
     Fire { worker: usize },
     /// The running segment on a worker completes (epoch-guarded).
     SegEnd { worker: usize, epoch: u64 },
+}
+
+/// The server's pending events. At most one arrival, one timer fire per
+/// worker and one live segment end per worker are ever outstanding, so
+/// each has a fixed slot and `pop` scans for the earliest `(t, seq)`.
+/// `seq` advances on every push, so simultaneous events pop in push
+/// order.
+struct Pending {
+    /// `(t, seq)` per slot: `[arrival, fire × workers, seg end × workers]`.
+    slots: Vec<Option<(u64, u64)>>,
+    /// Epoch of each worker's pending segment end.
+    epochs: Vec<u64>,
+    seq: u64,
+    horizon: u64,
+    /// Latest time `≤ horizon` of a segment end replaced before it
+    /// popped. A queue that kept the superseded entry would pop it (and
+    /// skip it as stale), and the run's end time counts every popped
+    /// event up to the horizon.
+    superseded: u64,
+}
+
+impl Pending {
+    fn new(workers: usize, horizon: u64) -> Self {
+        Self {
+            slots: vec![None; 1 + 2 * workers],
+            epochs: vec![0; workers],
+            seq: 0,
+            horizon,
+            superseded: 0,
+        }
+    }
+
+    fn set(&mut self, slot: usize, t: u64) -> Option<(u64, u64)> {
+        let old = self.slots[slot].replace((t, self.seq));
+        self.seq += 1;
+        old
+    }
+
+    fn arrival(&mut self, t: u64) {
+        let old = self.set(0, t);
+        debug_assert!(old.is_none(), "one arrival outstanding");
+    }
+
+    fn fire(&mut self, worker: usize, t: u64) {
+        let old = self.set(1 + worker, t);
+        debug_assert!(old.is_none(), "one fire outstanding per worker");
+    }
+
+    fn seg_end(&mut self, worker: usize, t: u64, epoch: u64) {
+        let workers = self.epochs.len();
+        if let Some((old, _)) = self.set(1 + workers + worker, t) {
+            if old <= self.horizon {
+                self.superseded = self.superseded.max(old);
+            }
+        }
+        self.epochs[worker] = epoch;
+    }
+
+    fn pop(&mut self) -> Option<(u64, Ev)> {
+        let (slot, (t, _)) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|key| (i, key)))
+            .min_by_key(|&(_, key)| key)?;
+        self.slots[slot] = None;
+        let workers = self.epochs.len();
+        let ev = match slot {
+            0 => Ev::Arrival,
+            s if s <= workers => Ev::Fire { worker: s - 1 },
+            s => {
+                let worker = s - 1 - workers;
+                Ev::SegEnd { worker, epoch: self.epochs[worker] }
+            }
+        };
+        Some((t, ev))
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -195,12 +269,7 @@ fn run_server_impl<R: Recorder>(
     let mut queue: StealQueues<usize> = StealQueues::new(cfg.workers);
     let mut workers: Vec<Worker> = (0..cfg.workers).map(|_| Worker::default()).collect();
 
-    let mut heap: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>, seq: &mut u64, t: u64, ev: Ev| {
-        heap.push(Reverse((t, *seq, ev)));
-        *seq += 1;
-    };
+    let mut pending = Pending::new(cfg.workers, cfg.duration);
 
     let mut get_latency = Histogram::new();
     let mut scan_latency = Histogram::new();
@@ -215,15 +284,15 @@ fn run_server_impl<R: Recorder>(
 
     // Prime the event queue.
     let first = arrivals.next_arrival(&mut rng);
-    push(&mut heap, &mut seq, first, Ev::Arrival);
+    pending.arrival(first);
     if !matches!(cfg.mechanism, PreemptMechanism::None) {
         for w in 0..cfg.workers {
-            push(&mut heap, &mut seq, cfg.quantum, Ev::Fire { worker: w });
+            pending.fire(w, cfg.quantum);
         }
     }
 
     let mut last_time = 0u64;
-    while let Some(Reverse((t, _, ev))) = heap.pop() {
+    while let Some((t, ev)) = pending.pop() {
         // Stop at the horizon: the backlog present now is the measure of
         // (in)stability, so it must not be drained after arrivals cease.
         if t > cfg.duration {
@@ -244,11 +313,11 @@ fn run_server_impl<R: Recorder>(
                 }
                 // Wake an idle worker.
                 if let Some(w) = workers.iter().position(|w| w.running.is_none()) {
-                    dispatch(w, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
+                    dispatch_at(w, t, &mut workers, &mut queue, &mut pending, &threads, rec);
                 }
                 if t < cfg.duration {
                     let next = arrivals.next_arrival(&mut rng).max(t + 1);
-                    push(&mut heap, &mut seq, next, Ev::Arrival);
+                    pending.arrival(next);
                 }
             }
             Ev::SegEnd { worker, epoch } => {
@@ -279,7 +348,7 @@ fn run_server_impl<R: Recorder>(
                             .with_arg("sojourn", sojourn),
                     );
                 }
-                dispatch(worker, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
+                dispatch_at(worker, t, &mut workers, &mut queue, &mut pending, &threads, rec);
             }
             Ev::Fire { worker } => {
                 // Fault injection on the interrupt path: the fire may be
@@ -314,7 +383,7 @@ fn run_server_impl<R: Recorder>(
                                 at = t + cfg.quantum;
                             }
                             if at < cfg.duration.saturating_add(cfg.quantum * 4) {
-                                push(&mut heap, &mut seq, at, Ev::Fire { worker });
+                                pending.fire(worker, at);
                             }
                             continue;
                         }
@@ -326,7 +395,7 @@ fn run_server_impl<R: Recorder>(
                 // The periodic preemption timer (KB_Timer or SW timer
                 // core) fires every quantum of wall-clock time.
                 if t < cfg.duration.saturating_add(cfg.quantum * 4) {
-                    push(&mut heap, &mut seq, t + cfg.quantum, Ev::Fire { worker });
+                    pending.fire(worker, t + cfg.quantum);
                 }
                 let Some(run) = workers[worker].running else {
                     continue; // idle worker: timer masked/parked
@@ -364,8 +433,7 @@ fn run_server_impl<R: Recorder>(
                         t + cost,
                         &mut workers,
                         &mut queue,
-                        &mut heap,
-                        &mut seq,
+                        &mut pending,
                         &threads,
                         rec,
                     );
@@ -385,19 +453,12 @@ fn run_server_impl<R: Recorder>(
                         progress_from: t + cost,
                         started_at: run.started_at,
                     });
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        t + cost + remaining,
-                        Ev::SegEnd { worker, epoch },
-                    );
+                    pending.seg_end(worker, t + cost + remaining, epoch);
                 }
             }
         }
-        if heap.is_empty() {
-            break;
-        }
     }
+    let last_time = last_time.max(pending.superseded);
 
     let unfinished = queue.total_len() as u64
         + workers.iter().filter(|w| w.running.is_some()).count() as u64;
@@ -425,28 +486,12 @@ fn run_server_impl<R: Recorder>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch<R: Recorder>(
-    worker: usize,
-    t: u64,
-    workers: &mut [Worker],
-    queue: &mut StealQueues<usize>,
-    heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: &mut u64,
-    threads: &[Uthread],
-    rec: &mut R,
-) {
-    dispatch_at(worker, t, workers, queue, heap, seq, threads, rec);
-}
-
-#[allow(clippy::too_many_arguments)]
 fn dispatch_at<R: Recorder>(
     worker: usize,
     t: u64,
     workers: &mut [Worker],
     queue: &mut StealQueues<usize>,
-    heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: &mut u64,
+    pending: &mut Pending,
     threads: &[Uthread],
     rec: &mut R,
 ) {
@@ -471,8 +516,7 @@ fn dispatch_at<R: Recorder>(
         started_at: t,
     });
     let remaining = threads[tid].remaining;
-    heap.push(Reverse((t + remaining, *seq, Ev::SegEnd { worker, epoch })));
-    *seq += 1;
+    pending.seg_end(worker, t + remaining, epoch);
 }
 
 #[cfg(test)]

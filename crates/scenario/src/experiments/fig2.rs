@@ -83,6 +83,6 @@ pub(crate) fn run(
         shard.observe("notif_delivery_cycles", timeline.notif_delivery.unsigned_abs());
         let mut reg = xui_telemetry::Registry::new();
         reg.push_shard(shard);
-        xui_bench::save_metrics("fig2_timeline", &reg.snapshot());
+        sink.saved(xui_bench::save_metrics("fig2_timeline", &reg.snapshot()));
     }
 }

@@ -81,7 +81,7 @@ pub(crate) fn run(
 
     if bench.bench_meta {
         let (null_ms, ring_ms) = telemetry_overhead(ticks);
-        xui_bench::record_telemetry_overhead("fig6_timer_core", null_ms, ring_ms);
+        sink.saved(xui_bench::record_telemetry_overhead("fig6_timer_core", null_ms, ring_ms));
         println!(
             "\n  telemetry cost on one fig6 point ({ticks} ticks): \
              NullRecorder {null_ms:.2} ms vs RingRecorder {ring_ms:.2} ms \

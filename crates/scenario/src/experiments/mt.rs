@@ -161,7 +161,7 @@ pub(crate) fn run(
 
     if bench.metrics {
         if let Some((_, snapshot)) = results.last() {
-            xui_bench::save_metrics(id, snapshot);
+            sink.saved(xui_bench::save_metrics(id, snapshot));
         }
     }
 }

@@ -134,6 +134,8 @@ pub(crate) struct Sink {
     progress: ProgressHook,
     seen: BTreeSet<String>,
     duplicate: Option<String>,
+    /// First failure to write a file under `results/`.
+    save_error: Option<String>,
 }
 
 impl Sink {
@@ -144,6 +146,15 @@ impl Sink {
             progress,
             seen: BTreeSet::new(),
             duplicate: None,
+            save_error: None,
+        }
+    }
+
+    /// Records the outcome of a write under `results/`; [`run`] turns
+    /// the first failure into its error.
+    pub(crate) fn saved(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.save_error.get_or_insert_with(|| e.to_string());
         }
     }
 
@@ -162,7 +173,8 @@ impl Sink {
         }
         let json = render_json(value);
         if self.save {
-            save_json(id, value);
+            let saved = save_json(id, value);
+            self.saved(saved);
         }
         self.progress.emit(&RunProgress::Artifact {
             id: id.to_string(),
@@ -174,7 +186,8 @@ impl Sink {
 }
 
 /// Runs a scenario. Errors are configuration problems (invalid spec, an
-/// unsupported telemetry request); an experiment that executes but
+/// unsupported telemetry request) and, when saving, a failure to write
+/// a file under `results/`; an experiment that executes but
 /// fails its own criterion returns `Ok` with `passed == false`.
 pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
     sc.validate()?;
@@ -363,6 +376,10 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
              later emissions would overwrite results/{id}.json",
             sc.name
         ));
+    }
+
+    if let Some(e) = sink.save_error {
+        return Err(e);
     }
 
     opts.progress.emit(&RunProgress::Finished { passed, artifacts: sink.artifacts.len() });

@@ -84,9 +84,14 @@ fn main() {
     }
     t.print();
 
-    record_bench_section("serve_load", &report);
-    println!("\n    [results/BENCH_sweep.json section `serve_load`]");
+    let saved = record_bench_section("serve_load", &report);
+    match &saved {
+        Ok(()) => println!("\n    [results/BENCH_sweep.json section `serve_load`]"),
+        Err(e) => eprintln!("serve_load: {e}"),
+    }
 
-    let ok = report.run_state == "done" && report.requests_ok == report.requests_sent;
+    let ok = saved.is_ok()
+        && report.run_state == "done"
+        && report.requests_ok == report.requests_sent;
     std::process::exit(i32::from(!ok));
 }

@@ -25,10 +25,7 @@ fn main() {
 
     // --- Now at the paper's scale. ------------------------------------
     let routes = paper_route_table(42);
-    let mut big = Lpm::new();
-    for r in &routes {
-        big.add(*r);
-    }
+    let big = Lpm::from_routes(&routes);
     println!("\ninstalled {} routes (DIR-24-8, one memory access for /≤24)", big.len());
 
     // --- Polling vs xUI interrupts at 40% load, one NIC. --------------

@@ -157,3 +157,21 @@ fn sweep_rejects_malformed_shards() {
         assert!(stderr(&out).contains("invalid shard"), "--shard {bad}: {}", stderr(&out));
     }
 }
+
+#[test]
+fn run_fails_loudly_when_results_cannot_be_written() {
+    // `results` is a regular file, so `results/<id>.json` cannot exist.
+    let dir = tmp_path("results-is-a-file");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("results"), "not a directory").expect("write blocker");
+    let out = Command::new(env!("CARGO_BIN_EXE_xui"))
+        .args(["run", "fig2_timeline"])
+        .current_dir(&dir)
+        .output()
+        .expect("xui binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_ne!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("cannot save results/fig2_timeline.json"), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("[saved"), "claimed a save that failed: {stdout}");
+}

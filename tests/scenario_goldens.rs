@@ -66,6 +66,11 @@ fn fig7_rocksdb_matches_golden() {
 }
 
 #[test]
+fn fig8_l3fwd_matches_golden() {
+    check_preset("fig8_l3fwd");
+}
+
+#[test]
 fn fig9_dsa_matches_golden() {
     check_preset("fig9_dsa");
 }
