@@ -1,4 +1,5 @@
-//! Shared command-line parsing for every experiment binary.
+//! Shared command-line parsing for the `xui` CLI and the benchmark
+//! binaries (`des_capacity`, `serve_load`).
 //!
 //! Before this module each binary hand-rolled its own `std::env::args()`
 //! scan, and a misspelled flag (`--bench-mata`, `--trave out.json`) was
@@ -23,8 +24,8 @@ pub struct CliSpec {
     positionals: Vec<(String, String, bool)>,
 }
 
-/// Parse failure: the offending token plus what was expected. The
-/// experiment binaries turn this into usage-plus-exit-2 via
+/// Parse failure: the offending token plus what was expected. Callers
+/// turn this into usage-plus-exit-2, directly or via
 /// [`CliSpec::parse_or_exit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {

@@ -166,7 +166,7 @@ pub struct BenchMeta {
     /// Whether serial and parallel results serialized byte-identically.
     pub identical: bool,
     /// Wall-clock of a representative point run with `NullRecorder`
-    /// telemetry, milliseconds (set by figure binaries that measure
+    /// telemetry, milliseconds (set by figure presets that measure
     /// telemetry overhead).
     pub telemetry_null_ms: Option<f64>,
     /// Same point run with an active `RingRecorder`, milliseconds.
@@ -184,14 +184,26 @@ pub struct BenchMeta {
 /// process, so binaries with several sweeps report whole-binary totals.
 static BENCH_META: Mutex<Option<BenchMeta>> = Mutex::new(None);
 
-/// Runs a figure binary's sweep under explicit [`BenchOpts`].
+/// First failure to write `results/BENCH_sweep.json` inside [`run_sweep`],
+/// held until [`take_bench_meta_error`] hands it to the caller.
+static BENCH_META_ERROR: Mutex<Option<String>> = Mutex::new(None);
+
+/// Takes the first `--bench-meta` write failure recorded by [`run_sweep`]
+/// since the last call, so the run that asked for the record can fail
+/// instead of passing without it.
+pub fn take_bench_meta_error() -> Option<String> {
+    BENCH_META_ERROR.lock().expect("bench meta error lock").take()
+}
+
+/// Runs a figure preset's sweep under explicit [`BenchOpts`].
 ///
 /// Normally this is just [`Sweep::run`]: evaluate every point on the
 /// worker pool, return results in point order. With `bench_meta` set, the
 /// sweep is executed twice — once with 1 worker, once with the parallel
 /// pool — the two result sets are checked for byte-identical
 /// serialization, and cumulative wall-clock numbers are written to
-/// `results/BENCH_sweep.json`.
+/// `results/BENCH_sweep.json`. A failed write does not stop the sweep;
+/// it is kept for [`take_bench_meta_error`].
 pub fn run_sweep<P, R, F>(bin: &str, s: Sweep<P>, opts: &BenchOpts, f: F) -> Vec<R>
 where
     P: Sync,
@@ -236,7 +248,7 @@ where
     };
     meta.identical &= identical;
     if let Err(e) = merge_bench_sweep(meta.to_value()) {
-        eprintln!("error: {e}");
+        BENCH_META_ERROR.lock().expect("bench meta error lock").get_or_insert(e.to_string());
     }
 
     parallel
@@ -421,7 +433,7 @@ mod tests {
     }
 }
 
-/// A minimal ASCII line/series chart for figure binaries: one or more
+/// A minimal ASCII line/series chart for figure presets: one or more
 /// named series over a shared numeric x-axis, rendered as rows of bars so
 /// trends are visible directly in terminal output.
 #[derive(Debug, Clone, Default)]

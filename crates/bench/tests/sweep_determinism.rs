@@ -1,6 +1,6 @@
 //! Regression tests: a parallel sweep must produce byte-identical results
 //! to a serial sweep of the same points and base seed. Exercised against
-//! the kernels behind two figure binaries (fig6's timer-core model and
+//! the kernels behind two figure presets (fig6's timer-core model and
 //! fig8's l3fwd model) plus a DES-backed experiment with per-point RNG.
 
 use rand::rngs::StdRng;

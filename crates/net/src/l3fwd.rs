@@ -150,68 +150,51 @@ fn clamp_ring(
     }
 }
 
-/// Runs the experiment.
+/// Runs the experiment, untraced and without faults.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nics == 0`.
 #[must_use]
 pub fn run_l3fwd(cfg: &L3fwdConfig) -> L3fwdReport {
-    run_l3fwd_traced(cfg, &mut NullRecorder)
+    run_l3fwd_with(cfg, None, &mut NullRecorder)
 }
 
-/// [`run_l3fwd`] with telemetry. Queue `q` is actor `q`; the worker is
-/// actor `cfg.nics`. Every non-empty RX burst records a `fwd_burst`
-/// span on its queue's actor (argument `pkts` = packets forwarded), and
-/// in [`IoMode::XuiInterrupt`] each wake-to-`uiret` handler activation
-/// records an `irq_handler` span on the worker actor. With
+/// Runs the experiment, optionally under a fault plan, recording
+/// telemetry into `rec`.
+///
+/// With `faults`, in [`IoMode::XuiInterrupt`] every wake interrupt
+/// passes through the plan's drop/delay ops and RX rings can be clamped
+/// mid-run; once the consecutive fault streak crosses
+/// `plan.degrade_threshold` the worker stops trusting the interrupt path
+/// and busy-polls the rings for the rest of the run — trading its free
+/// cycles for guaranteed forward progress instead of stranding packets
+/// forever.
+///
+/// Queue `q` is actor `q`; the worker is actor `cfg.nics`. Every
+/// non-empty RX burst records a `fwd_burst` span on its queue's actor
+/// (argument `pkts` = packets forwarded), and in [`IoMode::XuiInterrupt`]
+/// each wake-to-`uiret` handler activation records an `irq_handler` span
+/// on the worker actor. Under a fault plan it adds a `wake_fault`
+/// instant on the worker actor per injected fault and a
+/// `degrade_to_polling` instant when the fallback engages. With
 /// [`NullRecorder`] the function monomorphizes to the untraced loop,
 /// result-identical by test.
-#[must_use]
-pub fn run_l3fwd_traced<R: Recorder>(cfg: &L3fwdConfig, rec: &mut R) -> L3fwdReport {
-    run_l3fwd_impl(cfg, rec, None)
-}
-
-/// Runs the experiment under a fault plan: in [`IoMode::XuiInterrupt`]
-/// every wake interrupt passes through the plan's drop/delay ops and RX
-/// rings can be clamped mid-run; once the consecutive fault streak
-/// crosses `plan.degrade_threshold` the worker stops trusting the
-/// interrupt path and busy-polls the rings for the rest of the run —
-/// trading its free cycles for guaranteed forward progress instead of
-/// stranding packets forever.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nics == 0`.
 #[must_use]
-pub fn run_l3fwd_faulted(cfg: &L3fwdConfig, plan: &FaultPlan) -> L3fwdReport {
-    run_l3fwd_faulted_traced(cfg, plan, &mut NullRecorder)
-}
-
-/// [`run_l3fwd_faulted`] with telemetry: adds a `wake_fault` instant on
-/// the worker actor per injected fault and a `degrade_to_polling`
-/// instant when the fallback engages.
-///
-/// # Panics
-///
-/// Panics if `cfg.nics == 0`.
-#[must_use]
-pub fn run_l3fwd_faulted_traced<R: Recorder>(
-    cfg: &L3fwdConfig,
-    plan: &FaultPlan,
-    rec: &mut R,
-) -> L3fwdReport {
-    let mut inj = FaultInjector::new(plan);
-    run_l3fwd_impl(cfg, rec, Some(&mut inj))
-}
-
 #[allow(clippy::too_many_lines)]
-fn run_l3fwd_impl<R: Recorder>(
+pub fn run_l3fwd_with<R: Recorder>(
     cfg: &L3fwdConfig,
+    faults: Option<&FaultPlan>,
     rec: &mut R,
-    mut faults: Option<&mut FaultInjector>,
 ) -> L3fwdReport {
     assert!(cfg.nics > 0, "need at least one NIC");
+    let mut injector = faults.map(FaultInjector::new);
+    let mut faults = injector.as_mut();
+
     let routes = paper_route_table(cfg.seed);
     let lpm = Lpm::from_routes(&routes);
 
@@ -575,7 +558,7 @@ mod tests {
         cfg.duration = 2_000_000; // 1 ms
         let untraced = run_l3fwd(&cfg);
         let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let traced = run_l3fwd_traced(&cfg, &mut rec);
+        let traced = run_l3fwd_with(&cfg, None, &mut rec);
         assert_eq!(traced.forwarded, untraced.forwarded);
         assert_eq!(traced.latency.p99, untraced.latency.p99);
         assert_eq!(traced.account, untraced.account);
@@ -599,6 +582,10 @@ mod tests {
 mod fault_tests {
     use super::*;
 
+    fn faulted(cfg: &L3fwdConfig, plan: &FaultPlan) -> L3fwdReport {
+        run_l3fwd_with(cfg, Some(plan), &mut NullRecorder)
+    }
+
     fn cfg(load: f64, mode: IoMode) -> L3fwdConfig {
         let mut cfg = L3fwdConfig::paper(2, load, mode);
         cfg.duration = 8_000_000; // 4 ms
@@ -609,7 +596,7 @@ mod fault_tests {
     fn empty_plan_is_result_identical_to_unfaulted() {
         let cfg = cfg(0.4, IoMode::XuiInterrupt);
         let clean = run_l3fwd(&cfg);
-        let faulted = run_l3fwd_faulted(&cfg, &FaultPlan::named("empty"));
+        let faulted = faulted(&cfg, &FaultPlan::named("empty"));
         assert_eq!(faulted.forwarded, clean.forwarded);
         assert_eq!(faulted.latency.p99, clean.latency.p99);
         assert_eq!(faulted.account, clean.account);
@@ -622,7 +609,7 @@ mod fault_tests {
         let cfg = cfg(0.4, IoMode::XuiInterrupt);
         let clean = run_l3fwd(&cfg);
         let plan = FaultPlan::named("drop-half-wakes").drop_every(2, 1);
-        let r = run_l3fwd_faulted(&cfg, &plan);
+        let r = faulted(&cfg, &plan);
         assert!(r.wake_faults > 100, "faults counted: {}", r.wake_faults);
         assert!(!r.degraded_to_polling);
         // Stranded packets ride along with the next delivered wake:
@@ -642,12 +629,12 @@ mod fault_tests {
         // Every wake is lost. Without the degrade guard nothing is ever
         // forwarded; with it, polling takes over after 8 lost wakes.
         let stranded =
-            run_l3fwd_faulted(&cfg, &FaultPlan::named("dead-irq").drop_every(1, 1));
+            faulted(&cfg, &FaultPlan::named("dead-irq").drop_every(1, 1));
         assert_eq!(stranded.forwarded, 0, "no wake, no forwarding");
         assert!(!stranded.degraded_to_polling);
 
         let plan = FaultPlan::named("dead-irq-guarded").drop_every(1, 1).degrade_after(8);
-        let rescued = run_l3fwd_faulted(&cfg, &plan);
+        let rescued = faulted(&cfg, &plan);
         assert!(rescued.degraded_to_polling, "guard must trip");
         assert_eq!(rescued.wake_faults, 8, "exactly the streak before the trip");
         let clean = run_l3fwd(&cfg);
@@ -665,7 +652,7 @@ mod fault_tests {
         let cfg = cfg(0.3, IoMode::XuiInterrupt);
         let clean = run_l3fwd(&cfg);
         let plan = FaultPlan::named("late-wakes").delay_every(1, 1, 20_000);
-        let r = run_l3fwd_faulted(&cfg, &plan);
+        let r = faulted(&cfg, &plan);
         assert!(r.wake_faults > 0);
         assert!(
             r.latency.p50 > clean.latency.p50 + 10_000,
@@ -686,7 +673,7 @@ mod fault_tests {
             7_000_000,
             2,
         );
-        let r = run_l3fwd_faulted(&cfg, &plan);
+        let r = faulted(&cfg, &plan);
         assert!(r.drops > 0, "2-descriptor rings must overflow");
         assert!(r.forwarded < clean.forwarded);
     }
@@ -695,8 +682,8 @@ mod fault_tests {
     fn faulted_runs_are_deterministic() {
         let cfg = cfg(0.4, IoMode::XuiInterrupt);
         let plan = FaultPlan::named("mix").seed(3).drop_every(5, 2).delay_every(7, 1, 5_000);
-        let a = run_l3fwd_faulted(&cfg, &plan);
-        let b = run_l3fwd_faulted(&cfg, &plan);
+        let a = faulted(&cfg, &plan);
+        let b = faulted(&cfg, &plan);
         assert_eq!(a.forwarded, b.forwarded);
         assert_eq!(a.wake_faults, b.wake_faults);
         assert_eq!(a.latency.p99, b.latency.p99);

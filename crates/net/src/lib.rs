@@ -15,7 +15,7 @@ pub mod packet;
 pub mod rss;
 pub mod traffic;
 
-pub use l3fwd::{run_l3fwd, run_l3fwd_faulted, IoMode, L3fwdConfig, L3fwdReport};
+pub use l3fwd::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig, L3fwdReport};
 pub use lpm::{Lpm, Route};
 pub use packet::{Packet, RxQueue};
 pub use rss::Rss;

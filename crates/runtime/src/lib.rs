@@ -20,7 +20,7 @@ pub mod tenants;
 pub mod uthread;
 pub mod worstcase;
 
-pub use server::{run_server, run_server_faulted, ServerConfig, ServerReport};
+pub use server::{run_server, run_server_with, ServerConfig, ServerReport};
 pub use stealing::StealQueues;
 pub use tenants::{
     run_multi_tenant, run_multi_tenant_metrics, MultiTenantConfig, MultiTenantReport,

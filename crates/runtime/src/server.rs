@@ -210,55 +210,42 @@ struct Worker {
     busy: u64,
 }
 
-/// Runs the simulation described by `cfg`.
+/// Runs the simulation described by `cfg`, untraced and without faults.
 #[must_use]
 pub fn run_server(cfg: &ServerConfig) -> ServerReport {
-    run_server_traced(cfg, &mut NullRecorder)
+    run_server_with(cfg, None, &mut NullRecorder)
 }
 
-/// [`run_server`] with telemetry. Per worker (the event actor) this
-/// records: an `arrival` instant per request (class argument: 0 = GET,
-/// 1 = SCAN), a `run` span from dispatch to completion or preemption, a
-/// `preempt` instant per forced switch, a `timer_fire` instant per
-/// quantum fire that found work running, a `steal` instant per
-/// cross-worker steal, and a `park` instant when a worker goes idle.
-/// With [`NullRecorder`] the instrumentation monomorphizes away and the
-/// function is the untraced simulation, result-identical by test.
+/// Runs the simulation described by `cfg`, optionally under a fault
+/// plan, recording telemetry into `rec`.
+///
+/// With `faults`, preemption-timer fires pass through the plan's
+/// drop/delay/stall ops, and once the consecutive fault streak crosses
+/// `plan.degrade_threshold` the runtime stops trusting the interrupt
+/// path and falls back to safepoint polling (fires keep the quantum
+/// cadence but bypass the injector), keeping the run live instead of
+/// losing preemption entirely.
+///
+/// Per worker (the event actor) this records: an `arrival` instant per
+/// request (class argument: 0 = GET, 1 = SCAN), a `run` span from
+/// dispatch to completion or preemption, a `preempt` instant per forced
+/// switch, a `timer_fire` instant per quantum fire that found work
+/// running, a `steal` instant per cross-worker steal, and a `park`
+/// instant when a worker goes idle. Under a fault plan it adds a
+/// `timer_fault` instant per injected fault and a `degrade_to_polling`
+/// instant at the moment the fallback engages. With [`NullRecorder`]
+/// the instrumentation monomorphizes away and the function is the
+/// untraced simulation, result-identical by test.
 #[must_use]
-pub fn run_server_traced<R: Recorder>(cfg: &ServerConfig, rec: &mut R) -> ServerReport {
-    run_server_impl(cfg, rec, None)
-}
-
-/// Runs the server under a fault plan: preemption-timer fires pass
-/// through the plan's drop/delay/stall ops, and once the consecutive
-/// fault streak crosses `plan.degrade_threshold` the runtime stops
-/// trusting the interrupt path and falls back to safepoint polling
-/// (fires keep the quantum cadence but bypass the injector), keeping
-/// the run live instead of losing preemption entirely.
-#[must_use]
-pub fn run_server_faulted(cfg: &ServerConfig, plan: &FaultPlan) -> ServerReport {
-    run_server_faulted_traced(cfg, plan, &mut NullRecorder)
-}
-
-/// [`run_server_faulted`] with telemetry: adds a `timer_fault` instant
-/// per injected fault and a `degrade_to_polling` instant at the moment
-/// the fallback engages.
-#[must_use]
-pub fn run_server_faulted_traced<R: Recorder>(
-    cfg: &ServerConfig,
-    plan: &FaultPlan,
-    rec: &mut R,
-) -> ServerReport {
-    let mut inj = FaultInjector::new(plan);
-    run_server_impl(cfg, rec, Some(&mut inj))
-}
-
 #[allow(clippy::too_many_lines)]
-fn run_server_impl<R: Recorder>(
+pub fn run_server_with<R: Recorder>(
     cfg: &ServerConfig,
+    faults: Option<&FaultPlan>,
     rec: &mut R,
-    mut faults: Option<&mut FaultInjector>,
 ) -> ServerReport {
+    let mut injector = faults.map(FaultInjector::new);
+    let mut faults = injector.as_mut();
+
     let hw = CostModel::paper();
     let os = OsCosts::paper();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -600,7 +587,7 @@ mod tests {
         cfg.duration = 20_000_000; // 10 ms
         let untraced = run_server(&cfg);
         let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let traced = run_server_traced(&cfg, &mut rec);
+        let traced = run_server_with(&cfg, None, &mut rec);
         assert_eq!(traced.completed_gets, untraced.completed_gets);
         assert_eq!(traced.preemptions, untraced.preemptions);
         assert_eq!(traced.get_latency.p999, untraced.get_latency.p999);
@@ -645,6 +632,10 @@ mod tests {
 mod fault_tests {
     use super::*;
 
+    fn faulted(cfg: &ServerConfig, plan: &FaultPlan) -> ServerReport {
+        run_server_with(cfg, Some(plan), &mut NullRecorder)
+    }
+
     fn cfg(rps: f64) -> ServerConfig {
         let mut cfg = ServerConfig::paper(PreemptMechanism::XuiKbTimer, rps);
         cfg.duration = 60_000_000; // 30 ms
@@ -655,7 +646,7 @@ mod fault_tests {
     fn empty_plan_is_result_identical_to_unfaulted() {
         let cfg = cfg(80_000.0);
         let clean = run_server(&cfg);
-        let faulted = run_server_faulted(&cfg, &FaultPlan::named("empty"));
+        let faulted = faulted(&cfg, &FaultPlan::named("empty"));
         assert_eq!(faulted.completed_gets, clean.completed_gets);
         assert_eq!(faulted.preemptions, clean.preemptions);
         assert_eq!(faulted.get_latency.p999, clean.get_latency.p999);
@@ -669,7 +660,7 @@ mod fault_tests {
         let clean = run_server(&cfg);
         // Drop two of every three timer fires; threshold never trips.
         let plan = FaultPlan::named("drop-fires").drop_every(3, 1).drop_every(3, 2);
-        let r = run_server_faulted(&cfg, &plan);
+        let r = faulted(&cfg, &plan);
         assert!(r.timer_faults > 100, "faults counted: {}", r.timer_faults);
         assert!(!r.degraded_to_polling, "threshold u32::MAX never trips");
         assert!(
@@ -688,7 +679,7 @@ mod fault_tests {
         // preemption at all. The guard trips after 8 consecutive faults
         // and safepoint polling restores the quantum cadence.
         let plan = FaultPlan::named("dead-timer").drop_every(1, 1).degrade_after(8);
-        let r = run_server_faulted(&cfg, &plan);
+        let r = faulted(&cfg, &plan);
         assert!(r.degraded_to_polling, "guard must trip");
         assert_eq!(r.timer_faults, 8, "exactly the streak before the trip");
         assert!(r.preemptions > 100, "polling fallback still preempts");
@@ -699,8 +690,8 @@ mod fault_tests {
     fn stalled_timer_slips_fires_deterministically() {
         let cfg = cfg(80_000.0);
         let plan = FaultPlan::named("stall").stall_timer(5_000_000, 15_000_000);
-        let a = run_server_faulted(&cfg, &plan);
-        let b = run_server_faulted(&cfg, &plan);
+        let a = faulted(&cfg, &plan);
+        let b = faulted(&cfg, &plan);
         assert!(a.timer_faults > 0, "in-window fires stall");
         assert_eq!(a.timer_faults, b.timer_faults);
         assert_eq!(a.preemptions, b.preemptions);
@@ -713,7 +704,7 @@ mod fault_tests {
         c.duration = 10_000_000;
         let plan = FaultPlan::named("dead-timer").drop_every(1, 1).degrade_after(4);
         let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let r = run_server_faulted_traced(&c, &plan, &mut rec);
+        let r = run_server_with(&c, Some(&plan), &mut rec);
         let events = rec.events();
         let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
         assert_eq!(count("timer_fault"), r.timer_faults);

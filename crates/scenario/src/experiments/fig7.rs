@@ -7,8 +7,8 @@ use serde::Serialize;
 use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
 use xui_kernel::PreemptMechanism;
-use xui_runtime::server::run_server_faulted;
-use xui_runtime::{run_server, ServerConfig};
+use xui_runtime::{run_server_with, ServerConfig};
+use xui_telemetry::NullRecorder;
 
 use crate::runner::Sink;
 
@@ -44,10 +44,7 @@ pub(crate) fn run(
         .collect();
     let rows = run_sweep("fig7_rocksdb", Sweep::new(points), bench, |&(m, krps), _ctx| {
         let cfg = ServerConfig::paper(m, krps * 1_000.0);
-        let r = match faults {
-            None => run_server(&cfg),
-            Some(plan) => run_server_faulted(&cfg, plan),
-        };
+        let r = run_server_with(&cfg, faults, &mut NullRecorder);
         Row {
             mechanism: mech_name(m),
             offered_krps: krps,

@@ -7,8 +7,8 @@ use serde::Serialize;
 
 use xui_bench::{pct, run_sweep, AsciiChart, BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
-use xui_net::l3fwd::run_l3fwd_faulted;
-use xui_net::{run_l3fwd, IoMode, L3fwdConfig};
+use xui_net::{run_l3fwd_with, IoMode, L3fwdConfig};
+use xui_telemetry::NullRecorder;
 
 use crate::runner::Sink;
 
@@ -53,10 +53,7 @@ pub(crate) fn run(
         bench,
         |&(nics, load, mode, name), _ctx| {
             let cfg = L3fwdConfig::paper(nics, load, mode);
-            let r = match faults {
-                None => run_l3fwd(&cfg),
-                Some(plan) => run_l3fwd_faulted(&cfg, plan),
-            };
+            let r = run_l3fwd_with(&cfg, faults, &mut NullRecorder);
             let total = r.account.total().max(1) as f64;
             Row {
                 nics,

@@ -6,15 +6,12 @@
 //! optional fault plan, telemetry capabilities, and execution backend —
 //! that [`runner::run`] lowers onto the simulation crates. The
 //! [`registry`] names a preset for every paper figure/table, extension
-//! experiment, and ablation; the per-experiment binaries in `src/bin/`
-//! are thin wrappers over [`cli_main`], and the `xui` CLI at the
-//! workspace root drives the same path for both presets and scenario
-//! files.
+//! experiment, and ablation, and the `xui` CLI at the workspace root
+//! drives the same path for both presets and scenario files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cli;
 mod experiments;
 pub mod queue;
 pub mod registry;
@@ -22,7 +19,6 @@ pub mod runner;
 pub mod spec;
 pub mod sweep;
 
-pub use cli::cli_main;
 pub use queue::{CancelError, RunId, RunQueue, RunState, RunStatus, SubmitError};
 pub use runner::{run, Artifact, ProgressHook, RunOptions, RunProgress, RunReport};
 pub use spec::{Backend, DsaMode, Experiment, NamedWorkload, Scenario, TelemetryCaps, Topology};

@@ -186,8 +186,8 @@ impl Sink {
 }
 
 /// Runs a scenario. Errors are configuration problems (invalid spec, an
-/// unsupported telemetry request) and, when saving, a failure to write
-/// a file under `results/`; an experiment that executes but
+/// unsupported telemetry request) and, when saving or with `--bench-meta`,
+/// a failure to write a file under `results/`; an experiment that executes but
 /// fails its own criterion returns `Ok` with `passed == false`.
 pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
     sc.validate()?;
@@ -370,6 +370,9 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
         }
     };
 
+    // Taken unconditionally so a failed run cannot leak its error into
+    // the next one in the same process.
+    let bench_meta_error = xui_bench::take_bench_meta_error();
     if let Some(id) = sink.duplicate {
         return Err(format!(
             "scenario `{}` emitted artifact id `{id}` more than once; \
@@ -378,7 +381,7 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
         ));
     }
 
-    if let Some(e) = sink.save_error {
+    if let Some(e) = sink.save_error.or(bench_meta_error) {
         return Err(e);
     }
 

@@ -147,7 +147,7 @@ impl DsaMode {
 /// The experiment a scenario measures: one variant per paper figure /
 /// table / extension, carrying that experiment's sweep axes and
 /// constants as data. The runner lowers each variant onto the existing
-/// crates; the thin `src/bin/` wrappers and the `xui` CLI both go
+/// crates; the `xui` CLI and the `xui serve` control plane both go
 /// through exactly this type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Experiment {

@@ -30,7 +30,7 @@
 //! ```
 //!
 //! See `docs/TELEMETRY.md` for the event-name taxonomy and how the
-//! figure binaries expose this through `--trace` / `--metrics`.
+//! `xui run` exposes this through `--trace` / `--metrics`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

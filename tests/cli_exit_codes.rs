@@ -73,6 +73,31 @@ fn unknown_flag_exits_2_with_usage() {
 }
 
 #[test]
+fn trace_without_value_exits_2() {
+    let out = xui(&["run", "fig6_timer_core", "--trace"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("requires a value"), "{}", stderr(&out));
+}
+
+#[test]
+fn run_help_lists_every_run_flag() {
+    let out = xui(&["run", "--help"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for needle in [
+        "--bench-meta",
+        "--metrics",
+        "--trace <PATH>",
+        "--threads <N>",
+        "--full <N>",
+        "--sim <N>",
+        "--seed <S>",
+    ] {
+        assert!(stdout.contains(needle), "help missing {needle}: {stdout}");
+    }
+}
+
+#[test]
 fn show_preset_exits_0_with_json() {
     let out = xui(&["show", "fig2_timeline"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
@@ -174,4 +199,22 @@ fn run_fails_loudly_when_results_cannot_be_written() {
     assert!(stderr(&out).contains("cannot save results/fig2_timeline.json"), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("[saved"), "claimed a save that failed: {stdout}");
+}
+
+#[test]
+fn run_fails_loudly_when_the_bench_meta_record_cannot_be_written() {
+    // `results/BENCH_sweep.json` is a directory: the artifact still
+    // saves, but the `--bench-meta` record cannot, and the run must say so.
+    let dir = tmp_path("bench-sweep-is-a-dir");
+    std::fs::create_dir_all(dir.join("results").join("BENCH_sweep.json")).expect("mkdir");
+    let out = Command::new(env!("CARGO_BIN_EXE_xui"))
+        .args(["run", "fig2_timeline", "--bench-meta"])
+        .current_dir(&dir)
+        .output()
+        .expect("xui binary runs");
+    let artifact = dir.join("results").join("fig2_timeline.json").is_file();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("results/BENCH_sweep.json"), "{}", stderr(&out));
+    assert!(artifact, "the fig2_timeline artifact is still written");
 }

@@ -16,9 +16,9 @@ use xui::faults::{
     InvariantConfig, InvariantKind, ScheduledSend,
 };
 use xui::kernel::{KernelError, PreemptMechanism, RetryPolicy, UintrKernel};
-use xui::net::{run_l3fwd, run_l3fwd_faulted, IoMode, L3fwdConfig};
-use xui::runtime::{run_server, run_server_faulted, ServerConfig};
-use xui::telemetry::Event;
+use xui::net::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig};
+use xui::runtime::{run_server, run_server_with, ServerConfig};
+use xui::telemetry::{Event, NullRecorder};
 
 /// Runs `body` on its own thread and fails if it exceeds `secs`.
 /// Panics inside the body propagate (the channel sender is dropped
@@ -138,8 +138,8 @@ fn fault_plans_replay_identically_from_seed_and_plan() {
         let mut cfg = ServerConfig::paper(PreemptMechanism::XuiKbTimer, 90_000.0);
         cfg.duration = 30_000_000;
         let faulty = FaultPlan::named("replay-server").seed(5).drop_every(3, 1);
-        let a = run_server_faulted(&cfg, &faulty);
-        let b = run_server_faulted(&cfg, &faulty);
+        let a = run_server_with(&cfg, Some(&faulty), &mut NullRecorder);
+        let b = run_server_with(&cfg, Some(&faulty), &mut NullRecorder);
         assert_eq!(a.timer_faults, b.timer_faults);
         assert_eq!(a.preemptions, b.preemptions);
         assert_eq!(a.get_latency.p999, b.get_latency.p999);
@@ -153,7 +153,7 @@ fn server_survives_a_dead_timer_by_degrading_to_polling() {
         cfg.duration = 30_000_000;
         let clean = run_server(&cfg);
         let plan = FaultPlan::named("dead-timer").drop_every(1, 1).degrade_after(6);
-        let r = run_server_faulted(&cfg, &plan);
+        let r = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
         assert!(r.degraded_to_polling, "guard should trip");
         assert_eq!(r.timer_faults, 6, "faults stop counting once degraded");
         assert!(r.stable, "degraded run must keep up with load");
@@ -173,7 +173,7 @@ fn l3fwd_survives_a_dead_interrupt_path_by_degrading_to_polling() {
         cfg.duration = 6_000_000;
         let clean = run_l3fwd(&cfg);
         let plan = FaultPlan::named("dead-irq").drop_every(1, 1).degrade_after(6);
-        let r = run_l3fwd_faulted(&cfg, &plan);
+        let r = run_l3fwd_with(&cfg, Some(&plan), &mut NullRecorder);
         assert!(r.degraded_to_polling, "guard should trip");
         assert!(
             r.forwarded as f64 > clean.forwarded as f64 * 0.9,

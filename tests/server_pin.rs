@@ -1,5 +1,5 @@
 //! Frozen Fig 7 server reports: FNV-1a digests of `format!("{report:?}")`
-//! for `run_server` and `run_server_faulted` over every preemption
+//! for `run_server` and the faulted `run_server_with` over every preemption
 //! mechanism, three offered loads (below, near and past saturation),
 //! one and four workers, and a fault plan that drops and delays timer
 //! fires off the quantum grid. Any change to the server's event loop
@@ -8,7 +8,8 @@
 
 use xui::faults::FaultPlan;
 use xui::kernel::PreemptMechanism;
-use xui::runtime::{run_server, run_server_faulted, ServerConfig};
+use xui::runtime::{run_server, run_server_with, ServerConfig};
+use xui::telemetry::NullRecorder;
 
 const MECHANISMS: [PreemptMechanism; 4] = [
     PreemptMechanism::None,
@@ -109,7 +110,7 @@ fn server_reports_match_frozen_digests() {
                 cfg.workers = workers;
                 cfg.duration = 120_000_000; // 60 ms
                 let clean = run_server(&cfg);
-                let faulted = run_server_faulted(&cfg, &plan);
+                let faulted = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
                 if !matches!(mechanism, PreemptMechanism::None) {
                     assert!(faulted.timer_faults > 0, "{mechanism:?} {rps} {workers}: plan bites");
                 }
@@ -135,7 +136,7 @@ fn segment_ends_superseded_at_the_horizon_still_end_the_run() {
         cfg.workers = workers;
         cfg.duration = 120_000_000;
         cfg.seed = seed;
-        let report = run_server_faulted(&cfg, &plan);
+        let report = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
         assert_eq!(
             fnv1a(format!("{report:?}").as_bytes()),
             want,
