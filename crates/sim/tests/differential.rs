@@ -1,7 +1,8 @@
 //! Differential fuzzing: random programs executed on the out-of-order
 //! pipeline must end in exactly the architectural state the functional
 //! interpreter computes — under every delivery strategy, with and without
-//! interrupts hammering the pipeline.
+//! interrupts hammering the pipeline. Branchy programs also check the
+//! scheduler's incremental state against a full ROB scan every cycle.
 
 use proptest::prelude::*;
 
@@ -91,6 +92,94 @@ fn build_program(body: Vec<Op>, iters: u64) -> Program {
     }));
     code.push(Inst::new(Op::Uiret));
     Program::new("fuzz", code)
+}
+
+/// One step of a branchy body: a straight-line op, or a data-dependent
+/// forward branch over the next `skip` steps.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(Op),
+    SkipIf { src: Reg, on_zero: bool, skip: usize },
+}
+
+/// Straight-line ops, data-dependent forward branches (mispredicts and
+/// squashes), and program-initiated microcode — `clui`, `stui` and a
+/// self-targeted `senduipi` — which must wait for older branches.
+fn branchy_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        body_op().prop_map(Step::Op),
+        body_op().prop_map(Step::Op),
+        body_op().prop_map(Step::Op),
+        (reg_strategy(), any::<bool>(), 1usize..4)
+            .prop_map(|(src, on_zero, skip)| Step::SkipIf { src, on_zero, skip }),
+        (reg_strategy(), any::<bool>(), 1usize..4)
+            .prop_map(|(src, on_zero, skip)| Step::SkipIf { src, on_zero, skip }),
+        Just(Step::Op(Op::Clui)),
+        Just(Step::Op(Op::Stui)),
+        Just(Step::Op(Op::SendUipi { index: 0 })),
+    ]
+}
+
+/// [`build_program`] with each `SkipIf` laid out as a branch to the
+/// step `skip` places further on (at most the loop's back-edge).
+fn build_branchy_program(steps: &[Step], iters: u64) -> Program {
+    let body: Vec<Op> = steps
+        .iter()
+        .map(|step| match *step {
+            Step::Op(op) => op,
+            Step::SkipIf { src, .. } => Op::Bnez { src, target: 0 },
+        })
+        .collect();
+    // Step i starts at starts[i] (a memory op is preceded by its base
+    // mask); starts[len] is the loop counter's decrement.
+    let mut starts = vec![1];
+    for op in &body {
+        let width = if matches!(op, Op::Load { .. } | Op::Store { .. }) { 2 } else { 1 };
+        starts.push(starts.last().unwrap() + width);
+    }
+    let mut program = build_program(body, iters);
+    for (i, step) in steps.iter().enumerate() {
+        if let Step::SkipIf { src, on_zero, skip } = *step {
+            let target = starts[(i + 1 + skip).min(steps.len())];
+            program.code[starts[i]].op = if on_zero {
+                Op::Beqz { src, target }
+            } else {
+                Op::Bnez { src, target }
+            };
+        }
+    }
+    program
+}
+
+/// Runs `program` on one core cycle by cycle — self-`senduipi` wired
+/// up, a forwarded interrupt at `first_fire` and then every `period`
+/// cycles — and checks the
+/// core's scheduler invariants after every cycle. Returns the system if
+/// the program halted within the cycle limit.
+fn run_with_invariant_checks(
+    program: &Program,
+    strategy: DeliveryStrategy,
+    safepoint_mode: bool,
+    first_fire: u64,
+    period: u64,
+) -> Option<System> {
+    let mut cfg = SystemConfig::uipi();
+    cfg.strategy.0 = strategy;
+    let mut sys = System::new(cfg, vec![program.clone()]);
+    sys.cores[0].safepoint_mode = safepoint_mode;
+    sys.register_receiver(0, program.len() - 2);
+    sys.connect_sender(0, 0, 3);
+    sys.add_device(Device::DirectIrq {
+        period,
+        next_fire: first_fire,
+        core: 0,
+        user_vector: 1,
+    });
+    while sys.now() < 400_000 && !sys.cores[0].is_halted() {
+        sys.tick();
+        sys.cores[0].check_scheduler_invariants();
+    }
+    sys.cores[0].is_halted().then_some(sys)
 }
 
 fn pipeline_state(
@@ -225,5 +314,58 @@ proptest! {
             sys.cores[0].stats.interrupts_delivered,
             "handler count matches deliveries"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Branchy programs with program-initiated microcode under interrupt
+    /// pressure, under flush, drain, tracked and tracked-with-safepoints
+    /// delivery: every cycle, the scheduler's maintained Ready set,
+    /// in-flight list, unresolved branches, live microcode and store
+    /// queue equal a full ROB rescan — across mispredict squashes,
+    /// interrupt flushes and tracked re-injection. Runs that halt also
+    /// end in the interpreter's architectural state.
+    #[test]
+    fn scheduler_state_matches_a_full_rob_scan(
+        steps in proptest::collection::vec(branchy_step(), 1..14),
+        iters in 20u64..80,
+        first_fire in 10u64..300,
+        period in 300u64..3_000,
+        mark_stride in 1usize..4,
+    ) {
+        let program = {
+            let mut p = build_branchy_program(&steps, iters);
+            for (i, inst) in p.code.iter_mut().enumerate() {
+                if i % mark_stride == 1 && !inst.is_control() {
+                    inst.safepoint = true;
+                }
+            }
+            p
+        };
+        let (golden, stop) = interpret(&program, InterpState::default(), 1_000_000);
+        prop_assert_eq!(stop, Stop::Halted);
+        let runs = [
+            (DeliveryStrategy::Flush, false),
+            (DeliveryStrategy::Drain, false),
+            (DeliveryStrategy::Tracked, false),
+            (DeliveryStrategy::Tracked, true),
+        ];
+        for (strategy, safepoint_mode) in runs {
+            let Some(sys) = run_with_invariant_checks(
+                &program, strategy, safepoint_mode, first_fire, period,
+            )
+            else {
+                continue;
+            };
+            for r in 1..10u8 {
+                prop_assert_eq!(
+                    sys.cores[0].reg(Reg(r)),
+                    golden.reg(Reg(r)),
+                    "r{} under {:?} (safepoints: {})", r, strategy, safepoint_mode
+                );
+            }
+        }
     }
 }
