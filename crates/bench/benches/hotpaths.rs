@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: DIR-24-8
 //! LPM build and lookup, one Figure 7 server point, the discrete-event
-//! engine, the latency histogram, and one cycle of the out-of-order
-//! pipeline model.
+//! engine, the latency histogram, and the out-of-order pipeline model
+//! on a tiny loop and on a ROB-filling matmul.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -19,6 +19,7 @@ use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
 use xui_sim::{Device, Program, System};
 use xui_telemetry::NullRecorder;
+use xui_workloads::programs::{matmul, Instrument};
 
 fn bench_lpm_lookup(c: &mut Criterion) {
     let lpm = Lpm::from_routes(&paper_route_table(1));
@@ -133,6 +134,21 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 }
 
+fn bench_pipeline_full_rob(c: &mut Criterion) {
+    // Matmul keeps nearly all of the 384 ROB entries live (the
+    // 3-instruction loop above, under half), so per-cycle scheduler
+    // cost at a full window shows here.
+    let w = matmul(u64::MAX, Instrument::None, 0);
+    c.bench_function("cycle_sim_matmul_full_rob", |b| {
+        b.iter(|| {
+            let mut sys = System::new(SystemConfig::xui(), vec![w.program.clone()]);
+            w.install(&mut sys, 0);
+            sys.run_cycles(10_000);
+            black_box(sys.cores[0].stats.committed_insts)
+        })
+    });
+}
+
 fn bench_protocol_send_deliver(c: &mut Criterion) {
     let mut sys = ProtocolModel::new(2);
     let sender = sys.create_thread();
@@ -223,7 +239,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
-              bench_event_engine_churn, bench_histogram, bench_pipeline,
+              bench_event_engine_churn, bench_histogram, bench_pipeline, bench_pipeline_full_rob,
               bench_protocol_send_deliver, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }

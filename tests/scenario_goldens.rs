@@ -85,6 +85,20 @@ fn ablation_multiworker_matches_golden() {
     check_preset("ablation_multiworker");
 }
 
+/// The squash-heavy preset: flush delivery on pointer chases of every
+/// size, with flushed-µop counts per interrupt.
+#[test]
+fn x2_flush_forensics_matches_golden() {
+    check_preset("x2_flush_forensics");
+}
+
+/// The preset that scales the ROB (and IQ/LQ/SQ) from 192 to 1536
+/// entries.
+#[test]
+fn ablation_window_matches_golden() {
+    check_preset("ablation_window");
+}
+
 #[test]
 fn mt_tenants_matches_golden() {
     check_preset("mt_tenants");
