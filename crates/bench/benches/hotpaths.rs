@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: DIR-24-8
 //! LPM build and lookup, one Figure 7 server point, the discrete-event
-//! engine, the latency histogram, and the out-of-order pipeline model
-//! on a tiny loop and on a ROB-filling matmul.
+//! engine, the latency histogram, the out-of-order pipeline model on a
+//! tiny loop and on a ROB-filling matmul, and the oracle differ.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -14,6 +14,7 @@ use xui_des::stats::Histogram;
 use xui_kernel::{PreemptMechanism, TimeSource, TimerCoreSim};
 use xui_net::lpm::Lpm;
 use xui_net::traffic::paper_route_table;
+use xui_oracle::{check, Schedule};
 use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
@@ -167,6 +168,16 @@ fn bench_protocol_send_deliver(c: &mut Criterion) {
     });
 }
 
+fn bench_oracle_check(c: &mut Criterion) {
+    // The oracle differ on a fixed full-alphabet corpus: every check
+    // replays its schedule through the reference oracle, the protocol and
+    // kernel models and the per-event ABI byte compare.
+    let corpus: Vec<Schedule> = (0..200).map(Schedule::generate).collect();
+    c.bench_function("oracle_check_full_alphabet", |b| {
+        b.iter(|| corpus.iter().filter(|s| check(black_box(s)).is_some()).count())
+    });
+}
+
 fn bench_cycle_sim_senduipi(c: &mut Criterion) {
     // Whole-pipeline cost of simulating one senduipi round trip.
     let sender = Program::new(
@@ -240,7 +251,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
               bench_event_engine_churn, bench_histogram, bench_pipeline, bench_pipeline_full_rob,
-              bench_protocol_send_deliver, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
+              bench_protocol_send_deliver, bench_oracle_check, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }
 criterion_main!(benches);

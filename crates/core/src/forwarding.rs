@@ -163,8 +163,10 @@ pub struct ApicForwarding {
     enabled: VectorBitmap,
     active: VectorBitmap,
     /// Kernel-programmed translation from conventional vector to the user
-    /// vector assigned at registration.
-    map: Vec<Option<UserVector>>,
+    /// vector assigned at registration, sorted by conventional vector. A
+    /// core forwards a handful of vectors at most, so a short list beats
+    /// a 256-entry table that every core would allocate up front.
+    map: Vec<(u8, UserVector)>,
 }
 
 impl Default for ApicForwarding {
@@ -180,7 +182,7 @@ impl ApicForwarding {
         Self {
             enabled: VectorBitmap::new(),
             active: VectorBitmap::new(),
-            map: vec![None; 256],
+            map: Vec::new(),
         }
     }
 
@@ -199,7 +201,8 @@ impl ApicForwarding {
             });
         }
         self.enabled.set(vector);
-        self.map[vector.index()] = Some(uv);
+        let at = self.map.partition_point(|&(v, _)| v < vector.as_u8());
+        self.map.insert(at, (vector.as_u8(), uv));
         Ok(())
     }
 
@@ -207,7 +210,7 @@ impl ApicForwarding {
     pub fn unmap(&mut self, vector: Vector) {
         self.enabled.clear(vector);
         self.active.clear(vector);
-        self.map[vector.index()] = None;
+        self.map.retain(|&(v, _)| v != vector.as_u8());
     }
 
     /// Marks the vector's registered thread as currently running on this
@@ -255,7 +258,11 @@ impl ApicForwarding {
         if !self.enabled.get(vector) {
             return ForwardDecision::Legacy;
         }
-        let uv = self.map[vector.index()]
+        let uv = self
+            .map
+            .iter()
+            .find(|&&(v, _)| v == vector.as_u8())
+            .map(|&(_, uv)| uv)
             .expect("enabled bit implies a kernel-programmed mapping");
         if self.active.get(vector) {
             ForwardDecision::FastPath(uv)

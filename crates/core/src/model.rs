@@ -376,8 +376,14 @@ impl ProtocolModel {
     ///
     /// Propagates UITT/UPID lookup failures.
     pub fn senduipi(&mut self, sender: ThreadId, index: UittIndex) -> Result<(), XuiError> {
-        let uitt = self.thread(sender)?.uitt.clone();
-        let outcome = senduipi(&uitt, &mut self.mem, index)?;
+        // `threads` and `mem` are disjoint fields: borrow the sender's
+        // table in place rather than cloning it per send.
+        let uitt = &self
+            .threads
+            .get(sender.0)
+            .ok_or(XuiError::UnknownThread { thread: sender.0 })?
+            .uitt;
+        let outcome = senduipi(uitt, &mut self.mem, index)?;
         let Some(ipi) = outcome.ipi else {
             return Ok(());
         };

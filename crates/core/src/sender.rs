@@ -6,8 +6,6 @@
 //! and sends a conventional IPI to the core named by `NDST` with vector
 //! `NV`.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::XuiError;
@@ -93,7 +91,9 @@ impl<M: UpidMemory + ?Sized> UpidMemory for &mut M {
 }
 
 /// A plain map-backed [`UpidMemory`] for protocol-level modelling and
-/// tests.
+/// tests: a `Vec` kept sorted by address, since a model maps only a
+/// handful of descriptors (sorting also makes the derived `PartialEq`
+/// independent of insertion order).
 ///
 /// # Examples
 ///
@@ -109,7 +109,7 @@ impl<M: UpidMemory + ?Sized> UpidMemory for &mut M {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MapUpidMemory {
-    map: HashMap<u64, Upid>,
+    entries: Vec<(u64, Upid)>,
 }
 
 impl MapUpidMemory {
@@ -119,46 +119,60 @@ impl MapUpidMemory {
         Self::default()
     }
 
+    /// The slot holding `addr`, or where it would be inserted.
+    fn slot(&self, addr: UpidAddr) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&addr.as_u64(), |&(a, _)| a)
+    }
+
     /// Maps a descriptor at `addr` (what the kernel's `register_handler`
-    /// allocation does).
+    /// allocation does), replacing any descriptor already there.
     pub fn insert(&mut self, addr: UpidAddr, upid: Upid) {
-        self.map.insert(addr.as_u64(), upid);
+        match self.slot(addr) {
+            Ok(i) => self.entries[i].1 = upid,
+            Err(i) => self.entries.insert(i, (addr.as_u64(), upid)),
+        }
     }
 
     /// Removes the descriptor at `addr`, returning it if present.
     pub fn remove(&mut self, addr: UpidAddr) -> Option<Upid> {
-        self.map.remove(&addr.as_u64())
+        self.slot(addr).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Number of mapped descriptors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// True if no descriptor is mapped.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 
 impl UpidMemory for MapUpidMemory {
     fn load_upid(&self, addr: UpidAddr) -> Result<Upid, XuiError> {
-        self.map
-            .get(&addr.as_u64())
-            .copied()
-            .ok_or(XuiError::UnknownUpid { addr: addr.as_u64() })
+        self.slot(addr)
+            .map(|i| self.entries[i].1)
+            .map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })
     }
 
     fn store_upid(&mut self, addr: UpidAddr, upid: Upid) -> Result<(), XuiError> {
-        match self.map.get_mut(&addr.as_u64()) {
-            Some(slot) => {
-                *slot = upid;
-                Ok(())
-            }
-            None => Err(XuiError::UnknownUpid { addr: addr.as_u64() }),
-        }
+        let i = self.slot(addr).map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })?;
+        self.entries[i].1 = upid;
+        Ok(())
+    }
+
+    fn rmw_upid(
+        &mut self,
+        addr: UpidAddr,
+        f: &mut dyn FnMut(&mut Upid),
+    ) -> Result<Upid, XuiError> {
+        let i = self.slot(addr).map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })?;
+        let before = self.entries[i].1;
+        f(&mut self.entries[i].1);
+        Ok(before)
     }
 }
 
@@ -350,6 +364,31 @@ mod tests {
         // Properly sized: succeeds.
         msrs.set_uittsz(8);
         assert!(senduipi_checked(&msrs, &uitt, &mut mem, idx).is_ok());
+    }
+
+    #[test]
+    fn map_memory_is_keyed_by_address_in_any_insertion_order() {
+        let (a, b, c) = (UpidAddr(0x80), UpidAddr(0x40), UpidAddr(0xc0));
+        let mut one = Upid::new();
+        one.set_ndst(ApicId::new(1));
+        let mut fwd = MapUpidMemory::new();
+        let mut rev = MapUpidMemory::new();
+        for addr in [a, b, c] {
+            fwd.insert(addr, Upid::new());
+        }
+        for addr in [c, b, a] {
+            rev.insert(addr, Upid::new());
+        }
+        assert_eq!(fwd, rev, "equality ignores insertion order");
+        fwd.insert(b, one);
+        assert_eq!(fwd.len(), 3, "re-inserting an address replaces its descriptor");
+        assert_eq!(fwd.load_upid(b).unwrap(), one);
+        assert_ne!(fwd, rev);
+        assert_eq!(fwd.remove(b), Some(one));
+        assert_eq!(fwd.remove(b), None);
+        assert_eq!(fwd.store_upid(b, one), Err(XuiError::UnknownUpid { addr: 0x40 }));
+        assert_eq!(fwd.load_upid(c).unwrap(), Upid::new());
+        assert_eq!(fwd.len(), 2);
     }
 
     #[test]

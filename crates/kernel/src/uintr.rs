@@ -314,8 +314,7 @@ impl UintrKernel {
         // A reused slot replaces any tombstone left by a torn-down
         // receiver.
         self.tables[t].routes.retain(|r| r.index != idx);
-        let members = self.tables[t].members.clone();
-        for m in members {
+        for &m in &self.tables[t].members {
             self.model.register_sender_at(m, receiver, uv, idx)?;
         }
         self.tables[t].routes.push(Route { index: idx, receiver, vector: uv });
@@ -383,8 +382,7 @@ impl UintrKernel {
                 index: index.0,
             }))?;
         self.syscall(self.costs.register_sender);
-        let members = self.tables[t].members.clone();
-        for m in members {
+        for &m in &self.tables[t].members {
             self.model.invalidate_sender(m, index)?;
         }
         self.tables[t].alloc.release(index.0);
@@ -494,8 +492,7 @@ impl UintrKernel {
                 .collect();
             for idx in dead {
                 self.tables[t].alloc.release(idx.0);
-                let members = self.tables[t].members.clone();
-                for m in members {
+                for &m in &self.tables[t].members {
                     let _ = self.model.invalidate_sender(m, idx);
                 }
             }

@@ -12,6 +12,13 @@
 //!   only supports the sends-only schedule class (see
 //!   [`Schedule::is_sim_compatible`]).
 //!
+//! The two untimed models replay in one pass: a single lockstep
+//! [`Oracle`] steps once per event, each event's guards are evaluated
+//! once, and both models take the same step and are diffed against the
+//! oracle's packed UPID bytes after it. Each model keeps its own first
+//! error and is not driven past it. Divergences are reported in a fixed
+//! order: protocol, then kernel, then sim.
+//!
 //! Replay mirrors the oracle's totality rules: an event that the oracle
 //! treats as a no-op is skipped against the model too, so the *legal*
 //! transitions are compared and any subsequence of a schedule remains
@@ -80,29 +87,33 @@ pub struct CheckOptions {
     pub mispack_nc: bool,
 }
 
-/// The uniform surface the two protocol-level replays share.
+/// The uniform surface the two untimed replays share.
 trait ModelUnderTest {
-    fn senduipi(&mut self, lane: usize) -> Result<(), String>;
-    fn schedule(&mut self, core: u8) -> Result<(), String>;
-    fn deschedule(&mut self, core: u8) -> Result<(), String>;
-    fn deliver(&mut self) -> Result<(), String>;
-    fn clui(&mut self) -> Result<(), String>;
-    fn stui(&mut self) -> Result<(), String>;
-    fn set_timer(&mut self, cycles: u64, periodic: bool) -> Result<(), String>;
-    fn advance_time(&mut self, to: u64);
-    fn device_interrupt(&mut self, vector: u8, core: u8) -> Result<(), String>;
-    /// A send on `lane` issued through the shared UITT (the kernel
-    /// replay drives its real shared table; others alias `senduipi`).
-    fn share_send(&mut self, lane: usize) -> Result<(), String>;
-    /// Tear down the shared co-sender (kernel-observable; no-op
-    /// elsewhere).
-    fn teardown_shared(&mut self) -> Result<(), String>;
-    /// Fill the sender's table to `ENOSPC`, then free every extra slot
-    /// (kernel-observable; no-op elsewhere).
-    fn register_until_enospc(&mut self) -> Result<(), String>;
+    /// Applies one translated schedule step.
+    fn apply(&mut self, step: Step) -> Result<(), String>;
     /// The receiver's UPID as its packed 64-byte ABI image.
     fn upid_bytes(&self) -> Result<[u8; abi::upid::UPID_BYTES], String>;
     fn outcome(&self) -> Result<Outcome, String>;
+}
+
+fn timer_mode(periodic: bool) -> TimerMode {
+    if periodic {
+        TimerMode::Periodic
+    } else {
+        TimerMode::OneShot
+    }
+}
+
+/// The observable outcome of a model's receiver.
+fn outcome_of(model: &ProtocolModel, receiver: ThreadId) -> Result<Outcome, String> {
+    let upid = model.upid_of(receiver).map_err(|e| format!("{e:?}"))?;
+    let delivered = model
+        .delivered_log(receiver)
+        .map_err(|e| format!("{e:?}"))?
+        .iter()
+        .map(|v| v.index() as u8)
+        .collect();
+    Ok(Outcome { delivered, on: upid.on(), sn: upid.sn(), pir: upid.pir() })
 }
 
 struct ProtocolReplay {
@@ -141,60 +152,36 @@ impl ProtocolReplay {
 }
 
 impl ModelUnderTest for ProtocolReplay {
-    fn senduipi(&mut self, lane: usize) -> Result<(), String> {
-        self.sys.senduipi(self.sender, self.idx_by_lane[lane]).map_err(|e| format!("{e:?}"))
-    }
-
-    fn schedule(&mut self, core: u8) -> Result<(), String> {
-        self.sys
-            .schedule(self.receiver, CoreId(usize::from(core)))
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    fn deschedule(&mut self, core: u8) -> Result<(), String> {
-        self.sys.deschedule(CoreId(usize::from(core))).map(|_| ()).map_err(|e| format!("{e:?}"))
-    }
-
-    fn deliver(&mut self) -> Result<(), String> {
-        self.sys.run_pending(self.receiver).map(|_| ()).map_err(|e| format!("{e:?}"))
-    }
-
-    fn clui(&mut self) -> Result<(), String> {
-        self.sys.clui(self.receiver).map_err(|e| format!("{e:?}"))
-    }
-
-    fn stui(&mut self) -> Result<(), String> {
-        self.sys.stui(self.receiver).map_err(|e| format!("{e:?}"))
-    }
-
-    fn set_timer(&mut self, cycles: u64, periodic: bool) -> Result<(), String> {
-        let mode = if periodic { TimerMode::Periodic } else { TimerMode::OneShot };
-        self.sys.set_timer(self.receiver, cycles, mode).map_err(|e| format!("{e:?}"))
-    }
-
-    fn advance_time(&mut self, to: u64) {
-        self.sys.advance_time(to);
-    }
-
-    fn device_interrupt(&mut self, vector: u8, core: u8) -> Result<(), String> {
-        self.sys
-            .device_interrupt(CoreId(usize::from(core)), Vector::new(vector))
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    fn share_send(&mut self, lane: usize) -> Result<(), String> {
-        // The protocol model has no table-sharing layer: a shared-table
-        // send is architecturally the same SENDUIPI.
-        self.senduipi(lane)
-    }
-
-    fn teardown_shared(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn register_until_enospc(&mut self) -> Result<(), String> {
-        Ok(())
+    fn apply(&mut self, step: Step) -> Result<(), String> {
+        let (sys, receiver) = (&mut self.sys, self.receiver);
+        match step {
+            // The protocol model has no table-sharing layer: a
+            // shared-table send is architecturally the same SENDUIPI.
+            Step::Send(lane) | Step::ShareSend(lane) => {
+                sys.senduipi(self.sender, self.idx_by_lane[lane])
+            }
+            Step::SendPreempted { core, lane } => sys
+                .deschedule(CoreId(usize::from(core)))
+                .and_then(|_| sys.senduipi(self.sender, self.idx_by_lane[lane])),
+            Step::Schedule(core) => sys.schedule(receiver, CoreId(usize::from(core))),
+            Step::Deschedule(core) => sys.deschedule(CoreId(usize::from(core))).map(drop),
+            Step::Deliver => sys.run_pending(receiver).map(drop),
+            Step::Clui => sys.clui(receiver),
+            Step::Stui => sys.stui(receiver),
+            Step::SetTimer { cycles, periodic } => {
+                sys.set_timer(receiver, cycles, timer_mode(periodic))
+            }
+            Step::AdvanceTime(to) => {
+                sys.advance_time(to);
+                Ok(())
+            }
+            Step::DeviceIrq { vector, core } => sys
+                .device_interrupt(CoreId(usize::from(core)), Vector::new(vector))
+                .map(drop),
+            // Kernel bookkeeping the protocol model does not have.
+            Step::TeardownShared | Step::RegisterUntilEnospc => Ok(()),
+        }
+        .map_err(|e| format!("{e:?}"))
     }
 
     fn upid_bytes(&self) -> Result<[u8; abi::upid::UPID_BYTES], String> {
@@ -202,15 +189,7 @@ impl ModelUnderTest for ProtocolReplay {
     }
 
     fn outcome(&self) -> Result<Outcome, String> {
-        let upid = self.sys.upid_of(self.receiver).map_err(|e| format!("{e:?}"))?;
-        let delivered = self
-            .sys
-            .delivered_log(self.receiver)
-            .map_err(|e| format!("{e:?}"))?
-            .iter()
-            .map(|v| v.index() as u8)
-            .collect();
-        Ok(Outcome { delivered, on: upid.on(), sn: upid.sn(), pir: upid.pir() })
+        outcome_of(&self.sys, self.receiver)
     }
 }
 
@@ -268,59 +247,9 @@ impl KernelReplay {
         sys.schedule(sender, CoreId(0)).map_err(|e| format!("{e:?}"))?;
         Ok(Self { sys, sender, receiver, sender2, shared_alive: true, spare, idx_by_lane })
     }
-}
 
-impl ModelUnderTest for KernelReplay {
-    fn senduipi(&mut self, lane: usize) -> Result<(), String> {
-        self.sys.senduipi(self.sender, self.idx_by_lane[lane]).map_err(|e| format!("{e:?}"))
-    }
-
-    fn schedule(&mut self, core: u8) -> Result<(), String> {
-        self.sys
-            .schedule(self.receiver, CoreId(usize::from(core)))
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    fn deschedule(&mut self, core: u8) -> Result<(), String> {
-        self.sys.deschedule(CoreId(usize::from(core))).map(|_| ()).map_err(|e| format!("{e:?}"))
-    }
-
-    fn deliver(&mut self) -> Result<(), String> {
-        self.sys.run_pending(self.receiver).map(|_| ()).map_err(|e| format!("{e:?}"))
-    }
-
-    fn clui(&mut self) -> Result<(), String> {
-        self.sys.clui(self.receiver).map_err(|e| format!("{e:?}"))
-    }
-
-    fn stui(&mut self) -> Result<(), String> {
-        self.sys.stui(self.receiver).map_err(|e| format!("{e:?}"))
-    }
-
-    fn set_timer(&mut self, cycles: u64, periodic: bool) -> Result<(), String> {
-        let mode = if periodic { TimerMode::Periodic } else { TimerMode::OneShot };
-        self.sys.set_timer(self.receiver, cycles, mode).map_err(|e| format!("{e:?}"))
-    }
-
-    fn advance_time(&mut self, to: u64) {
-        self.sys.advance_time(to);
-    }
-
-    fn device_interrupt(&mut self, vector: u8, core: u8) -> Result<(), String> {
-        self.sys
-            .device_interrupt(CoreId(usize::from(core)), Vector::new(vector))
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}"))
-    }
-
-    fn share_send(&mut self, lane: usize) -> Result<(), String> {
-        // While the co-sender lives, the send goes through its view of
-        // the shared table; afterwards it falls back to the primary
-        // sender — observably identical either way.
-        let from = if self.shared_alive { self.sender2 } else { self.sender };
-        self.sys.senduipi(from, self.idx_by_lane[lane]).map_err(|e| format!("{e:?}"))
-    }
-
+    /// Tears down the shared co-sender (once; later teardowns are
+    /// no-ops).
     fn teardown_shared(&mut self) -> Result<(), String> {
         if !self.shared_alive {
             return Ok(());
@@ -330,6 +259,7 @@ impl ModelUnderTest for KernelReplay {
         Ok(())
     }
 
+    /// Fills the sender's table to `ENOSPC`, then frees every extra slot.
     fn register_until_enospc(&mut self) -> Result<(), String> {
         let mut extras = Vec::new();
         let hit = loop {
@@ -353,22 +283,50 @@ impl ModelUnderTest for KernelReplay {
         }
         Ok(())
     }
+}
+
+impl ModelUnderTest for KernelReplay {
+    fn apply(&mut self, step: Step) -> Result<(), String> {
+        let (sys, receiver) = (&mut self.sys, self.receiver);
+        match step {
+            Step::Send(lane) => sys.senduipi(self.sender, self.idx_by_lane[lane]),
+            Step::SendPreempted { core, lane } => sys
+                .deschedule(CoreId(usize::from(core)))
+                .and_then(|_| sys.senduipi(self.sender, self.idx_by_lane[lane])),
+            // While the co-sender lives, the send goes through its view
+            // of the shared table; afterwards it falls back to the
+            // primary sender — observably identical either way.
+            Step::ShareSend(lane) => {
+                let from = if self.shared_alive { self.sender2 } else { self.sender };
+                sys.senduipi(from, self.idx_by_lane[lane])
+            }
+            Step::Schedule(core) => sys.schedule(receiver, CoreId(usize::from(core))),
+            Step::Deschedule(core) => sys.deschedule(CoreId(usize::from(core))).map(drop),
+            Step::Deliver => sys.run_pending(receiver).map(drop),
+            Step::Clui => sys.clui(receiver),
+            Step::Stui => sys.stui(receiver),
+            Step::SetTimer { cycles, periodic } => {
+                sys.set_timer(receiver, cycles, timer_mode(periodic))
+            }
+            Step::AdvanceTime(to) => {
+                sys.advance_time(to);
+                Ok(())
+            }
+            Step::DeviceIrq { vector, core } => sys
+                .device_interrupt(CoreId(usize::from(core)), Vector::new(vector))
+                .map(drop),
+            Step::TeardownShared => return self.teardown_shared(),
+            Step::RegisterUntilEnospc => return self.register_until_enospc(),
+        }
+        .map_err(|e| format!("{e:?}"))
+    }
 
     fn upid_bytes(&self) -> Result<[u8; abi::upid::UPID_BYTES], String> {
         Ok(self.sys.model().upid_of(self.receiver).map_err(|e| format!("{e:?}"))?.pack())
     }
 
     fn outcome(&self) -> Result<Outcome, String> {
-        let upid = self.sys.model().upid_of(self.receiver).map_err(|e| format!("{e:?}"))?;
-        let delivered = self
-            .sys
-            .model()
-            .delivered_log(self.receiver)
-            .map_err(|e| format!("{e:?}"))?
-            .iter()
-            .map(|v| v.index() as u8)
-            .collect();
-        Ok(Outcome { delivered, on: upid.on(), sn: upid.sn(), pir: upid.pir() })
+        outcome_of(self.sys.model(), self.receiver)
     }
 }
 
@@ -379,97 +337,198 @@ fn first_byte_diff(
     got: &[u8; abi::upid::UPID_BYTES],
     mask_on: bool,
 ) -> Option<usize> {
+    if expect == got {
+        return None;
+    }
     (0..abi::upid::UPID_BYTES).find(|&j| {
         let mask = if j == 0 && mask_on { !abi::nc::ON } else { 0xff };
         expect[j] & mask != got[j] & mask
     })
 }
 
-/// Replays `schedule` against `model`, mirroring the oracle's totality
-/// guards so only transitions the oracle considers meaningful reach the
-/// model — and stepping a lockstep [`Oracle`] alongside, comparing the
-/// receiver's *serialized ABI bytes* ([`Oracle::upid_bytes`] vs the
-/// model's packed descriptor) after every event. The one deliberate
-/// mask: after a `SendPreempted` whose stale-snapshot IPI fired, the
-/// oracle keeps `ON = 1` while the untimed models' deschedule-then-send
-/// rendering leaves `ON = 0`; the bit is masked until the next resume
-/// clears it on both sides (see `docs/ORACLE.md`).
-///
-/// Returns the model's outcome or the first unexpected error /
-/// byte-level divergence.
-fn replay<M: ModelUnderTest>(
-    schedule: &Schedule,
-    model: &mut M,
-    opts: CheckOptions,
-) -> Result<Outcome, String> {
-    let mut oracle = Oracle::new(schedule);
-    let mut race_on = false;
-    let mut running: Option<u8> = None;
-    let mut now = 0u64;
-    for (i, ev) in schedule.events.iter().enumerate() {
-        let step = |e: Result<(), String>| e.map_err(|msg| format!("event {i} {ev:?}: {msg}"));
-        match *ev {
-            Event::Send { uv } => {
-                let lane = lane_of(schedule, uv);
-                step(model.senduipi(lane))?;
-            }
+/// One schedule event as the untimed models see it, once the oracle's
+/// totality guards have been applied. The guards depend only on the
+/// schedule, so each event is translated once and the same step drives
+/// both models.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// SENDUIPI on a lane.
+    Send(usize),
+    /// A send racing a context switch, rendered as deschedule-from-`core`
+    /// then send: the racing window is unreachable through the untimed
+    /// models' atomic senduipi, and this has the identical observable
+    /// effect (see docs/ORACLE.md).
+    SendPreempted { core: u8, lane: usize },
+    Schedule(u8),
+    Deschedule(u8),
+    Deliver,
+    Clui,
+    Stui,
+    SetTimer { cycles: u64, periodic: bool },
+    AdvanceTime(u64),
+    DeviceIrq { vector: u8, core: u8 },
+    ShareSend(usize),
+    TeardownShared,
+    RegisterUntilEnospc,
+}
+
+/// The replay-side guard state: where the receiver runs and the current
+/// time, tracked the way the oracle tracks them.
+#[derive(Default)]
+struct Guards {
+    running: Option<u8>,
+    now: u64,
+}
+
+impl Guards {
+    /// Translates `ev`, or `None` for an event the oracle treats as a
+    /// no-op (skipped against the models too).
+    fn step(&mut self, schedule: &Schedule, ev: &Event) -> Option<Step> {
+        Some(match *ev {
+            Event::Send { uv } => Step::Send(lane_of(schedule, uv)),
             Event::SendPreempted { uv } => {
-                // The racing window is unreachable through the untimed
-                // models' atomic senduipi; deschedule-then-send has the
-                // identical observable effect (see docs/ORACLE.md).
-                if let Some(core) = running.take() {
-                    step(model.deschedule(core))?;
-                }
                 let lane = lane_of(schedule, uv);
-                step(model.senduipi(lane))?;
+                match self.running.take() {
+                    Some(core) => Step::SendPreempted { core, lane },
+                    None => Step::Send(lane),
+                }
             }
             Event::Schedule { core } => {
-                if running.is_none() && core >= 1 && core < schedule.cores {
-                    step(model.schedule(core))?;
-                    running = Some(core);
+                if self.running.is_some() || core < 1 || core >= schedule.cores {
+                    return None;
                 }
+                self.running = Some(core);
+                Step::Schedule(core)
             }
-            Event::Deschedule => {
-                if let Some(core) = running.take() {
-                    step(model.deschedule(core))?;
-                }
-            }
+            Event::Deschedule => Step::Deschedule(self.running.take()?),
             Event::Deliver => {
-                if running.is_some() {
-                    step(model.deliver())?;
-                }
+                self.running?;
+                Step::Deliver
             }
-            Event::Clui => step(model.clui())?,
-            Event::Stui => step(model.stui())?,
+            Event::Clui => Step::Clui,
+            Event::Stui => Step::Stui,
             Event::SetTimer { cycles, periodic } => {
-                if running.is_some() && schedule.timer_vector.is_some() {
-                    step(model.set_timer(u64::from(cycles), periodic))?;
+                if self.running.is_none() || schedule.timer_vector.is_none() {
+                    return None;
                 }
+                Step::SetTimer { cycles: u64::from(cycles), periodic }
             }
             Event::AdvanceTime { dt } => {
-                now += u64::from(dt);
-                model.advance_time(now);
+                self.now += u64::from(dt);
+                Step::AdvanceTime(self.now)
             }
             Event::DeviceIrq { line, core } => {
-                if core < schedule.cores {
-                    let vector = schedule
-                        .forwarded
-                        .get(usize::from(line))
-                        .map_or(UNREGISTERED_VECTOR, |f| f.vector);
-                    step(model.device_interrupt(vector, core))?;
+                if core >= schedule.cores {
+                    return None;
                 }
+                let vector = schedule
+                    .forwarded
+                    .get(usize::from(line))
+                    .map_or(UNREGISTERED_VECTOR, |f| f.vector);
+                Step::DeviceIrq { vector, core }
             }
-            Event::ShareUitt { uv } => {
-                let lane = lane_of(schedule, uv);
-                step(model.share_send(lane))?;
-            }
-            Event::TeardownShared => step(model.teardown_shared())?,
-            Event::RegisterUntilEnospc => step(model.register_until_enospc())?,
+            Event::ShareUitt { uv } => Step::ShareSend(lane_of(schedule, uv)),
+            Event::TeardownShared => Step::TeardownShared,
+            Event::RegisterUntilEnospc => Step::RegisterUntilEnospc,
+        })
+    }
+}
+
+/// An untimed model under replay: `Ok` while it agrees with the oracle,
+/// else the first error or byte-level divergence it showed. A model is
+/// not driven past its first error.
+type Replay<M> = Result<M, String>;
+
+/// Drives event `i` into a live model and compares the receiver's packed
+/// UPID against the oracle's `expect` bytes; the first failure retires
+/// the model with its error.
+fn step_model<M: ModelUnderTest>(
+    replay: &mut Replay<M>,
+    event: (usize, &Event),
+    step: Option<Step>,
+    expect: &[u8; abi::upid::UPID_BYTES],
+    race_on: bool,
+) {
+    if let Ok(model) = replay {
+        if let Err(e) = step_and_compare(model, event, step, expect, race_on) {
+            *replay = Err(e);
         }
-        // Lockstep oracle step and ABI byte compare. The race window
-        // opens when a preempted send's stale-snapshot IPI fires (the
-        // oracle's pre-step state says it would) and closes as soon as
-        // the oracle's ON clears (the next resume).
+    }
+}
+
+fn step_and_compare<M: ModelUnderTest>(
+    model: &mut M,
+    (i, ev): (usize, &Event),
+    step: Option<Step>,
+    expect: &[u8; abi::upid::UPID_BYTES],
+    race_on: bool,
+) -> Result<(), String> {
+    if let Some(step) = step {
+        model.apply(step).map_err(|msg| format!("event {i} {ev:?}: {msg}"))?;
+    }
+    let got = model.upid_bytes().map_err(|e| format!("event {i} {ev:?}: {e}"))?;
+    if let Some(j) = first_byte_diff(expect, &got, race_on) {
+        return Err(format!(
+            "upid ABI bytes diverge after event {i} ({ev:?}) at byte {j}: \
+             oracle {:#04x} vs model {:#04x}",
+            expect[j], got[j]
+        ));
+    }
+    Ok(())
+}
+
+/// Quiesces a model exactly like the oracle (resume if out of context,
+/// unmask, drain), compares the final packed UPID and returns the
+/// model's outcome, or the first error it showed.
+fn quiesce_model<M: ModelUnderTest>(
+    replay: Replay<M>,
+    resume: bool,
+    expect: &[u8; abi::upid::UPID_BYTES],
+) -> Result<Outcome, String> {
+    let mut model = replay?;
+    if resume {
+        model.apply(Step::Schedule(1)).map_err(|e| format!("quiesce schedule: {e}"))?;
+    }
+    model.apply(Step::Stui).map_err(|e| format!("quiesce stui: {e}"))?;
+    model.apply(Step::Deliver).map_err(|e| format!("quiesce deliver: {e}"))?;
+    let got = model.upid_bytes().map_err(|e| format!("quiesce: {e}"))?;
+    if let Some(j) = first_byte_diff(expect, &got, false) {
+        return Err(format!(
+            "upid ABI bytes diverge after quiesce at byte {j}: oracle {:#04x} vs model {:#04x}",
+            expect[j], got[j]
+        ));
+    }
+    model.outcome()
+}
+
+/// What one lockstep replay of the untimed arm observed: the oracle's
+/// outcome and each model's outcome or first error.
+struct UntimedReplay {
+    oracle: Outcome,
+    protocol: Result<Outcome, String>,
+    kernel: Result<Outcome, String>,
+}
+
+/// Replays `schedule` through one lockstep [`Oracle`] and both untimed
+/// models at once. Each event's guards are evaluated once (so only
+/// transitions the oracle considers meaningful reach the models), the
+/// oracle steps once, and each model's receiver UPID, as *serialized ABI
+/// bytes*, is compared with [`Oracle::upid_bytes`] after every event.
+/// The one deliberate mask: after a `SendPreempted` whose stale-snapshot
+/// IPI fired, the oracle keeps `ON = 1` while the untimed models'
+/// deschedule-then-send rendering leaves `ON = 0`; the bit is masked
+/// until the next resume clears it on both sides (see `docs/ORACLE.md`).
+fn replay_untimed(schedule: &Schedule, opts: CheckOptions) -> UntimedReplay {
+    let mut protocol = ProtocolReplay::new(schedule);
+    let mut kernel = KernelReplay::new(schedule);
+    let mut oracle = Oracle::new(schedule);
+    let mut guards = Guards::default();
+    let mut race_on = false;
+    for (i, ev) in schedule.events.iter().enumerate() {
+        let step = guards.step(schedule, ev);
+        // The race window opens when a preempted send's stale-snapshot
+        // IPI fires (the oracle's pre-step state says it would) and
+        // closes as soon as the oracle's ON clears (the next resume).
         if let Event::SendPreempted { .. } = ev {
             if oracle.running_on.is_some() && !oracle.sn && !oracle.on {
                 race_on = true;
@@ -479,36 +538,25 @@ fn replay<M: ModelUnderTest>(
         if !oracle.on {
             race_on = false;
         }
+        if protocol.is_err() && kernel.is_err() {
+            continue;
+        }
         let mut expect = oracle.upid_bytes();
         if opts.mispack_nc {
             // The deliberately broken packer: SN rendered at bit 2.
             expect[0] = (expect[0] & abi::nc::ON) | (u8::from(oracle.sn) << 2);
         }
-        let got = model.upid_bytes().map_err(|e| format!("event {i} {ev:?}: {e}"))?;
-        if let Some(j) = first_byte_diff(&expect, &got, race_on) {
-            return Err(format!(
-                "upid ABI bytes diverge after event {i} ({ev:?}) at byte {j}: \
-                 oracle {:#04x} vs model {:#04x}",
-                expect[j], got[j]
-            ));
-        }
+        step_model(&mut protocol, (i, ev), step, &expect, race_on);
+        step_model(&mut kernel, (i, ev), step, &expect, race_on);
     }
-    // Quiesce exactly like the oracle: resume, unmask, drain.
-    if running.is_none() {
-        model.schedule(1).map_err(|e| format!("quiesce schedule: {e}"))?;
-    }
-    model.stui().map_err(|e| format!("quiesce stui: {e}"))?;
-    model.deliver().map_err(|e| format!("quiesce deliver: {e}"))?;
+    let resume = guards.running.is_none();
     oracle.quiesce();
     let expect = oracle.upid_bytes();
-    let got = model.upid_bytes().map_err(|e| format!("quiesce: {e}"))?;
-    if let Some(j) = first_byte_diff(&expect, &got, false) {
-        return Err(format!(
-            "upid ABI bytes diverge after quiesce at byte {j}: oracle {:#04x} vs model {:#04x}",
-            expect[j], got[j]
-        ));
+    UntimedReplay {
+        protocol: quiesce_model(protocol, resume, &expect),
+        kernel: quiesce_model(kernel, resume, &expect),
+        oracle: oracle.outcome(),
     }
-    model.outcome()
 }
 
 fn lane_of(schedule: &Schedule, uv: u8) -> usize {
@@ -607,7 +655,8 @@ fn compare(model: &str, oracle: &Outcome, observed: Result<Outcome, String>) -> 
 
 /// Checks one schedule against the protocol and kernel models (and the
 /// cycle-level simulator when the schedule is sim-compatible). Returns
-/// the first divergence found, unshrunk.
+/// the first divergence in report order (protocol, kernel, sim),
+/// unshrunk.
 #[must_use]
 pub fn check(schedule: &Schedule) -> Option<Divergence> {
     check_with(schedule, CheckOptions::default())
@@ -616,13 +665,10 @@ pub fn check(schedule: &Schedule) -> Option<Divergence> {
 /// [`check`] with explicit [`CheckOptions`].
 #[must_use]
 pub fn check_with(schedule: &Schedule, opts: CheckOptions) -> Option<Divergence> {
-    let oracle = Oracle::run(schedule);
-    let protocol = ProtocolReplay::new(schedule)
-        .and_then(|mut m| replay(schedule, &mut m, opts));
+    let UntimedReplay { oracle, protocol, kernel } = replay_untimed(schedule, opts);
     if let Some(d) = compare("protocol", &oracle, protocol) {
         return Some(d);
     }
-    let kernel = KernelReplay::new(schedule).and_then(|mut m| replay(schedule, &mut m, opts));
     if let Some(d) = compare("kernel", &oracle, kernel) {
         return Some(d);
     }

@@ -99,6 +99,33 @@ fn ablation_window_matches_golden() {
     check_preset("ablation_window");
 }
 
+/// Fig 4: receiver overheads at a 5 µs interrupt interval.
+#[test]
+fn fig4_receiver_overhead_matches_golden() {
+    check_preset("fig4_receiver_overhead");
+}
+
+/// Flush, drain and tracked delivery side by side.
+#[test]
+fn ablation_strategies_matches_golden() {
+    check_preset("ablation_strategies");
+}
+
+#[test]
+fn x1_worst_case_matches_golden() {
+    check_preset("x1_worst_case");
+}
+
+#[test]
+fn x3_signal_costs_matches_golden() {
+    check_preset("x3_signal_costs");
+}
+
+#[test]
+fn x4_polling_tax_matches_golden() {
+    check_preset("x4_polling_tax");
+}
+
 #[test]
 fn mt_tenants_matches_golden() {
     check_preset("mt_tenants");
