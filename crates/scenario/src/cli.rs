@@ -1,12 +1,10 @@
-//! Shared command-line parsing for the `xui` CLI and the benchmark
-//! binaries (`des_capacity`, `serve_load`).
+//! Strict command-line parsing for the `xui` CLI and the `serve_load`
+//! binary.
 //!
-//! Before this module each binary hand-rolled its own `std::env::args()`
-//! scan, and a misspelled flag (`--bench-mata`, `--trave out.json`) was
-//! silently ignored — the run looked fine but did not do what was asked.
-//! Here a binary declares the flags and options it accepts, and anything
-//! else is a hard error: the binary prints the usage text and exits with
-//! status 2.
+//! A binary declares the flags and options it accepts, and anything else
+//! is a hard error: a misspelled flag (`--metrcs`, `--trave out.json`)
+//! prints the usage text and exits with status 2 instead of being
+//! silently ignored.
 //!
 //! Both `--opt value` and `--opt=value` spellings are accepted, and
 //! `--help`/`-h` print the usage text and exit 0.
@@ -133,12 +131,11 @@ impl CliSpec {
         }
     }
 
-    /// The spec every sweep-driven experiment binary shares:
-    /// `--bench-meta`, `--metrics`, `--trace <path>`, `--threads <n>`.
+    /// The flags every sweep-driven experiment run shares:
+    /// `--metrics`, `--trace <path>`, `--threads <n>`.
     #[must_use]
     pub fn bench(bin: impl Into<String>, about: impl Into<String>) -> Self {
         Self::new(bin, about)
-            .flag("--bench-meta", "time the sweep serial vs parallel into results/BENCH_sweep.json")
             .flag("--metrics", "save a merged metrics snapshot under results/")
             .option("--trace", "PATH", "write a Chrome trace JSON to PATH")
             .option("--threads", "N", "sweep worker threads (overrides XUI_BENCH_THREADS)")
@@ -268,10 +265,9 @@ mod tests {
     #[test]
     fn parses_shared_bench_flags() {
         let p = spec()
-            .parse_args(&["--bench-meta", "--trace", "out.json", "--threads=4"])
+            .parse_args(&["--metrics", "--trace", "out.json", "--threads=4"])
             .unwrap();
-        assert!(p.flag("--bench-meta"));
-        assert!(!p.flag("--metrics"));
+        assert!(p.flag("--metrics"));
         assert_eq!(p.opt("--trace"), Some("out.json"));
         assert_eq!(p.opt_usize("--threads").unwrap(), Some(4));
     }
@@ -279,10 +275,13 @@ mod tests {
     #[test]
     fn unknown_flag_is_an_error() {
         // The pre-refactor binaries silently ignored misspellings like
-        // this; now it must be rejected.
-        let err = spec().parse_args(&["--bench-mata"]).unwrap_err();
-        assert_eq!(err, CliError::UnknownFlag("--bench-mata".to_string()));
-        assert_eq!(err.to_string(), "unknown flag `--bench-mata`");
+        // this; now it must be rejected. `--bench-meta` is no longer a
+        // flag at all.
+        for flag in ["--bench-mata", "--bench-meta"] {
+            let err = spec().parse_args(&[flag]).unwrap_err();
+            assert_eq!(err, CliError::UnknownFlag(flag.to_string()));
+            assert_eq!(err.to_string(), format!("unknown flag `{flag}`"));
+        }
         let err = spec().parse_args(&["-x"]).unwrap_err();
         assert_eq!(err, CliError::UnknownFlag("-x".to_string()));
     }
@@ -326,8 +325,9 @@ mod tests {
     #[test]
     fn usage_names_every_declared_flag() {
         let u = spec().usage();
-        for needle in ["--bench-meta", "--metrics", "--trace <PATH>", "--threads <N>"] {
+        for needle in ["--metrics", "--trace <PATH>", "--threads <N>"] {
             assert!(u.contains(needle), "usage missing {needle}: {u}");
         }
+        assert!(!u.contains("--bench-meta"), "usage still offers --bench-meta: {u}");
     }
 }

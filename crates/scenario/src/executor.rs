@@ -1,9 +1,9 @@
-//! Deterministic parallel sweep execution.
+//! Deterministic parallel execution of a figure's sweep points.
 //!
-//! Every figure/ablation binary in this crate enumerates a grid of
-//! independent sweep points (a workload × a load level × a mechanism, …),
-//! evaluates each point, and prints a table. [`Sweep`] runs those points
-//! across a fixed-size scoped worker pool while keeping the output
+//! Every figure/ablation experiment enumerates a grid of independent
+//! sweep points (a workload × a load level × a mechanism, …), evaluates
+//! each point, and prints a table. [`Sweep`] runs those points across a
+//! fixed-size scoped worker pool while keeping the output
 //! **bit-identical to a serial run**:
 //!
 //! - points are enumerated up front in a fixed order;
@@ -20,7 +20,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "XUI_BENCH_THREADS";
@@ -64,23 +63,12 @@ pub fn worker_threads(explicit: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Timing/shape statistics from one sweep execution.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepStats {
-    /// Number of points evaluated.
-    pub points: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock time for the whole sweep.
-    pub elapsed: Duration,
-}
-
 /// A deterministic sweep over independent points.
 ///
 /// # Examples
 ///
 /// ```
-/// use xui_bench::sweep::Sweep;
+/// use xui_scenario::Sweep;
 ///
 /// let squares = Sweep::new((0u64..8).collect::<Vec<_>>())
 ///     .threads(4)
@@ -138,31 +126,9 @@ impl<P: Sync> Sweep<P> {
         R: Send,
         F: Fn(&P, SweepCtx) -> R + Sync,
     {
-        self.run_timed(f).0
-    }
-
-    /// Like [`Sweep::run`], additionally returning timing stats.
-    pub fn run_timed<R, F>(&self, f: F) -> (Vec<R>, SweepStats)
-    where
-        R: Send,
-        F: Fn(&P, SweepCtx) -> R + Sync,
-    {
-        self.run_with(worker_threads(self.threads), f)
-    }
-
-    /// Runs the sweep with an explicit worker count, ignoring both the
-    /// builder override and `XUI_BENCH_THREADS` (used by `--bench-meta`
-    /// to time serial vs parallel executions of the same sweep).
-    pub fn run_with<R, F>(&self, threads: usize, f: F) -> (Vec<R>, SweepStats)
-    where
-        R: Send,
-        F: Fn(&P, SweepCtx) -> R + Sync,
-    {
         let n = self.points.len();
-        let threads = threads.max(1).min(n.max(1));
-        let start = Instant::now();
-
-        let results = if threads <= 1 {
+        let threads = worker_threads(self.threads).min(n.max(1));
+        if threads <= 1 {
             // Serial path: same enumeration, same seeds, no pool.
             self.points
                 .iter()
@@ -203,14 +169,7 @@ impl<P: Sync> Sweep<P> {
                 .into_iter()
                 .map(|slot| slot.expect("every sweep point was claimed by a worker"))
                 .collect()
-        };
-
-        let stats = SweepStats {
-            points: n,
-            threads,
-            elapsed: start.elapsed(),
-        };
-        (results, stats)
+        }
     }
 }
 
@@ -260,14 +219,5 @@ mod tests {
     fn thread_count_respects_override_and_floor() {
         assert_eq!(worker_threads(Some(0)), 1);
         assert_eq!(worker_threads(Some(5)), 5);
-    }
-
-    #[test]
-    fn timed_run_reports_shape() {
-        let (_, stats) = Sweep::new((0..10).collect::<Vec<u32>>())
-            .threads(3)
-            .run_timed(|&p, _| p);
-        assert_eq!(stats.points, 10);
-        assert_eq!(stats.threads, 3);
     }
 }

@@ -4,13 +4,14 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_kernel::PreemptMechanism;
 use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::{DeliveryStrategy, SystemConfig};
 use xui_workloads::harness::{run_workload, IrqSource, RunResult};
 use xui_workloads::programs::{Instrument, WorkloadSpec, POLL_FLAG_ADDR};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 use crate::spec::NamedWorkload;
 
@@ -35,7 +36,7 @@ pub(crate) fn multiworker(
     sink: &mut Sink,
 ) {
     let points = worker_counts.to_vec();
-    let rows = run_sweep("ablation_multiworker", Sweep::new(points), bench, |&workers, _ctx| {
+    let rows = run_sweep(Sweep::new(points), bench, |&workers, _ctx| {
         let mut cfg = ServerConfig::paper(
             PreemptMechanism::XuiKbTimer,
             per_worker_krps * 1_000.0 * workers as f64,
@@ -112,7 +113,6 @@ pub(crate) fn polling_vs_tracked(
         .flat_map(|&spec| periods.iter().map(move |&p| (spec, p)))
         .collect();
     let rows = run_sweep(
-        "ablation_polling_vs_tracked",
         Sweep::new(points),
         bench,
         |&(spec, period), _ctx| {
@@ -208,7 +208,7 @@ pub(crate) fn strategies(
     let points = benchmarks.to_vec();
     let strategies = strategies.to_vec();
     let rows: Vec<StrategyRow> =
-        run_sweep("ablation_strategies", Sweep::new(points), bench, |named, _ctx| {
+        run_sweep(Sweep::new(points), bench, |named, _ctx| {
             let w = named.workload.build(Instrument::None);
             let base = run_workload(SystemConfig::uipi(), &w, IrqSource::None, max);
             strategies
@@ -300,7 +300,7 @@ pub(crate) fn window(
     let w = workload.build(Instrument::None);
 
     let points = scales.to_vec();
-    let rows = run_sweep("ablation_window", Sweep::new(points), bench, |&scale, _ctx| {
+    let rows = run_sweep(Sweep::new(points), bench, |&scale, _ctx| {
         let base_run =
             run_workload(scaled(SystemConfig::uipi(), scale), &w, IrqSource::None, max);
         let flush = run_workload(

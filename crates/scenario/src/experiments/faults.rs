@@ -8,7 +8,6 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_core::vectors::UserVector;
 use xui_faults::invariants::{EV_DELIVER, EV_IDLE, EV_POST};
 use xui_faults::{
@@ -20,6 +19,8 @@ use xui_net::l3fwd::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig};
 use xui_runtime::server::{run_server_with, ServerConfig};
 use xui_telemetry::{Event, NullRecorder};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 /// The scenario names of the default suite, in canonical order.
@@ -388,7 +389,7 @@ fn run_scenario(name: &str) -> Outcome {
 pub(crate) fn run(scenarios: &[String], bench: &BenchOpts, sink: &mut Sink) -> bool {
     let names = scenarios.to_vec();
     let results =
-        run_sweep("faults_scenarios", Sweep::new(names), bench, |name, _ctx| run_scenario(name));
+        run_sweep(Sweep::new(names), bench, |name, _ctx| run_scenario(name));
 
     let mut table = Table::new(vec!["scenario", "kind", "eff", "deliv", "inv-viol", "pass"]);
     for o in &results {

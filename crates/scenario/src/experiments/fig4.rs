@@ -4,11 +4,12 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
 use xui_workloads::programs::{Instrument, Workload, WorkloadSpec};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -31,7 +32,7 @@ pub(crate) fn run(
     sink: &mut Sink,
 ) {
     let points: Vec<WorkloadSpec> = benchmarks.to_vec();
-    let rows = run_sweep("fig4_receiver_overhead", Sweep::new(points), bench, |spec, _ctx| {
+    let rows = run_sweep(Sweep::new(points), bench, |spec, _ctx| {
         let w: Workload = spec.build(Instrument::None);
         let base = run_workload(SystemConfig::uipi(), &w, IrqSource::None, max);
         let uipi = run_workload(

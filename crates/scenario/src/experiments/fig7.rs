@@ -4,12 +4,13 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
 use xui_kernel::PreemptMechanism;
 use xui_runtime::{run_server_with, ServerConfig};
 use xui_telemetry::NullRecorder;
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -42,7 +43,7 @@ pub(crate) fn run(
         .iter()
         .flat_map(|&m| loads_krps.iter().map(move |&krps| (m, krps)))
         .collect();
-    let rows = run_sweep("fig7_rocksdb", Sweep::new(points), bench, |&(m, krps), _ctx| {
+    let rows = run_sweep(Sweep::new(points), bench, |&(m, krps), _ctx| {
         let cfg = ServerConfig::paper(m, krps * 1_000.0);
         let r = run_server_with(&cfg, faults, &mut NullRecorder);
         Row {

@@ -5,11 +5,12 @@
 
 use serde::Serialize;
 
-use xui_bench::{pct, run_sweep, AsciiChart, BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
 use xui_net::{run_l3fwd_with, IoMode, L3fwdConfig};
 use xui_telemetry::NullRecorder;
 
+use super::run_sweep;
+use crate::{pct, AsciiChart, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -48,7 +49,6 @@ pub(crate) fn run(
         }
     }
     let rows = run_sweep(
-        "fig8_l3fwd",
         Sweep::new(points),
         bench,
         |&(nics, load, mode, name), _ctx| {

@@ -5,8 +5,9 @@
 use serde::Serialize;
 
 use xui_accel::{run_offload, CompletionMode, OffloadConfig, RequestKind};
-use xui_bench::{pct, run_sweep, AsciiChart, BenchOpts, Sweep, Table};
 
+use super::run_sweep;
+use crate::{pct, AsciiChart, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 use crate::spec::DsaMode;
 
@@ -52,7 +53,6 @@ pub(crate) fn run(
         }
     }
     let rows = run_sweep(
-        "fig9_dsa",
         Sweep::new(points),
         bench,
         |&(kind, kname, noise_pct, mode, mname), _ctx| {

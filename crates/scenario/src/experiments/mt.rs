@@ -7,12 +7,14 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_kernel::PreemptMechanism;
 use xui_runtime::tenants::{run_multi_tenant_metrics, MultiTenantConfig};
 use xui_telemetry::MetricsSnapshot;
 use xui_workloads::ClientPopulation;
 
+use super::run_sweep;
+use crate::report::save_metrics;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -69,7 +71,7 @@ pub(crate) fn run(
         .collect();
     let population = ClientPopulation { clients: clients_per_tenant, rps_per_client };
     let results: Vec<(Row, MetricsSnapshot)> =
-        run_sweep(id, Sweep::new(points), bench, |&(m, n), _ctx| {
+        run_sweep(Sweep::new(points), bench, |&(m, n), _ctx| {
             let mut cfg = MultiTenantConfig::paper(n, cores, population, m);
             cfg.quantum = quantum;
             cfg.duration = duration;
@@ -161,7 +163,7 @@ pub(crate) fn run(
 
     if bench.metrics {
         if let Some((_, snapshot)) = results.last() {
-            sink.saved(xui_bench::save_metrics(id, snapshot));
+            sink.saved(save_metrics(id, snapshot));
         }
     }
 }

@@ -10,9 +10,10 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_oracle::{fuzz_one, reproducer_json, Reproducer};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 /// Frozen default base seed for the fuzz corpus.
@@ -50,7 +51,7 @@ pub(crate) fn run(
         .chain((0..sim).map(|index| Point { sim_class: true, index }))
         .collect();
 
-    let results = run_sweep("oracle_fuzz", Sweep::new(points).base_seed(base_seed), bench, |p, ctx| {
+    let results = run_sweep(Sweep::new(points).base_seed(base_seed), bench, |p, ctx| {
         fuzz_one(ctx.seed.wrapping_add(p.index), p.sim_class)
     });
     let full_div = results[..full as usize].iter().flatten().count();

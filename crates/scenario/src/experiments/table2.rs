@@ -3,7 +3,6 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_sim::config::{CoreConfig, SystemConfig};
 use xui_sim::isa::Op;
 use xui_sim::{Program, System};
@@ -11,6 +10,8 @@ use xui_workloads::programs::{
     countdown_sender, send_loop, spin_receiver, uif_loop, SPIN_HANDLER_PC,
 };
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 /// Measures steady-state cycles per iteration of `prog` minus `base`.
@@ -61,7 +62,6 @@ struct Row {
 pub(crate) fn run(send_iters: u64, uif_iters: u64, bench: &BenchOpts, sink: &mut Sink) {
     let n = send_iters;
     let measured = run_sweep(
-        "table2_uipi_metrics",
         Sweep::new(vec!["senduipi", "clui", "stui", "recv"]),
         bench,
         |&metric, _ctx| match metric {

@@ -5,11 +5,12 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
 use xui_workloads::programs::{sp_dependent_chain, Instrument, WorkloadSpec};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -32,7 +33,7 @@ pub(crate) fn run(
 ) {
     let max = max_cycles;
     let points = chain_lens.to_vec();
-    let rows = run_sweep("x1_worst_case", Sweep::new(points), bench, |&chain, _ctx| {
+    let rows = run_sweep(Sweep::new(points), bench, |&chain, _ctx| {
         let w = sp_dependent_chain(chain, nodes, iters);
         let tracked = run_workload(
             SystemConfig::xui(),

@@ -4,12 +4,13 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_kernel::signals::SignalModel;
 use xui_sim::config::SystemConfig;
 use xui_sim::{Program, System};
 use xui_workloads::programs::critical_section_loop;
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 fn run_program(p: Program) -> u64 {
@@ -41,7 +42,7 @@ pub(crate) fn run(
 
     // clui/stui tax on a hot critical section (cycle-level simulation).
     let cycles =
-        run_sweep("x3_signal_costs", Sweep::new(vec![false, true]), bench, |&prot, _ctx| {
+        run_sweep(Sweep::new(vec![false, true]), bench, |&prot, _ctx| {
             run_program(critical_section_loop(cs_iters, prot, cs_body_len))
         });
     let (plain, protected) = (cycles[0], cycles[1]);

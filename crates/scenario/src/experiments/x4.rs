@@ -9,12 +9,13 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_sim::System;
 use xui_workloads::harness::{run_workload, IrqSource};
 use xui_workloads::programs::{tight_loop, Instrument, WorkloadSpec, POLL_FLAG_ADDR};
 
+use super::run_sweep;
+use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
 
 #[derive(Serialize)]
@@ -39,7 +40,7 @@ pub(crate) fn run(
     let points: Vec<Option<WorkloadSpec>> =
         benchmarks.iter().map(|&s| Some(s)).chain(std::iter::once(None)).collect();
     let n_bench = benchmarks.len();
-    let rows: Vec<Row> = run_sweep("x4_polling_tax", Sweep::new(points), bench, |point, _ctx| {
+    let rows: Vec<Row> = run_sweep(Sweep::new(points), bench, |point, _ctx| {
         let Some(spec) = point else {
             // The tight-loop worst case, measured directly.
             let run_tight = |polled| {

@@ -8,19 +8,29 @@
 //! [`registry`] names a preset for every paper figure/table, extension
 //! experiment, and ablation, and the `xui` CLI at the workspace root
 //! drives the same path for both presets and scenario files.
+//!
+//! Around the runner sit the pieces every run shares: the deterministic
+//! sweep-point [`executor`], the strict [`cli`] parser, and the
+//! [`report`] helpers that print tables and write artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod executor;
 mod experiments;
 pub mod queue;
 pub mod registry;
+pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod sweep;
 
+pub use cli::{CliError, CliSpec, Parsed};
+pub use executor::{Sweep, SweepCtx};
 pub use queue::{CancelError, RunId, RunQueue, RunState, RunStatus, SubmitError};
-pub use runner::{run, Artifact, ProgressHook, RunOptions, RunProgress, RunReport};
+pub use report::{banner, pct, save_json, write_atomic, AsciiChart, Table};
+pub use runner::{run, Artifact, BenchOpts, ProgressHook, RunOptions, RunProgress, RunReport};
 pub use spec::{Backend, DsaMode, Experiment, NamedWorkload, Scenario, TelemetryCaps, Topology};
 pub use sweep::{
     manifest_outcomes, merge_manifests, run_points, run_points_resuming, PointOutcome, ShardSpec,

@@ -1,18 +1,18 @@
 //! Executes a [`Scenario`]: validates it, checks the telemetry request
 //! against the scenario's capabilities, prints the banner, dispatches to
 //! the experiment implementation, and collects every JSON artifact the
-//! run produces (optionally also saving them under `results/`, exactly
-//! like the per-experiment binaries always have).
+//! run produces (optionally also saving them under `results/`).
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use serde::Serialize;
 
-use xui_bench::{banner, render_json, save_json, BenchOpts};
-
+use crate::cli::{CliError, Parsed};
 use crate::experiments;
+use crate::report::{banner, render_json, save_json};
 use crate::spec::{Experiment, Scenario};
 
 /// One milestone in a scenario's execution, reported through
@@ -82,12 +82,42 @@ impl fmt::Debug for ProgressHook {
     }
 }
 
+/// Options shared by every sweep-driven experiment: parsed once from the
+/// command line (see [`CliSpec::bench`](crate::cli::CliSpec::bench)) or
+/// filled in programmatically — never sniffed from `std::env::args`
+/// mid-run.
+#[derive(Debug, Clone, Default)]
+pub struct BenchOpts {
+    /// Explicit worker-thread override (else `XUI_BENCH_THREADS`/host).
+    pub threads: Option<usize>,
+    /// Where to write a Chrome trace JSON, for experiments that support it.
+    pub trace: Option<PathBuf>,
+    /// Save a merged metrics snapshot under `results/`.
+    pub metrics: bool,
+}
+
+impl BenchOpts {
+    /// Builds options from the shared flags of a
+    /// [`CliSpec::bench`](crate::cli::CliSpec::bench) parse.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `--threads` is not an unsigned integer.
+    pub fn from_parsed(p: &Parsed) -> Result<Self, CliError> {
+        Ok(Self {
+            threads: p.opt_usize("--threads")?,
+            trace: p.opt("--trace").map(PathBuf::from),
+            metrics: p.flag("--metrics"),
+        })
+    }
+}
+
 /// How to execute a scenario: the shared sweep options (threads, trace,
-/// metrics, bench-meta) plus whether artifacts are written to
-/// `results/`. The binaries save; the golden tests run in-memory.
+/// metrics) plus whether artifacts are written to `results/`. The CLI
+/// saves; the golden tests run in-memory.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Sweep options shared with the former binaries.
+    /// Sweep options shared by every experiment.
     pub bench: BenchOpts,
     /// Write every artifact to `results/<id>.json` as well.
     pub save: bool,
@@ -186,9 +216,10 @@ impl Sink {
 }
 
 /// Runs a scenario. Errors are configuration problems (invalid spec, an
-/// unsupported telemetry request) and, when saving or with `--bench-meta`,
-/// a failure to write a file under `results/`; an experiment that executes but
-/// fails its own criterion returns `Ok` with `passed == false`.
+/// unsupported telemetry request) and a failure to write a file the run
+/// was asked for (an artifact under `results/` when saving, a trace, a
+/// metrics snapshot); an experiment that executes but fails its own
+/// criterion returns `Ok` with `passed == false`.
 pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
     sc.validate()?;
     if opts.bench.trace.is_some() && !sc.telemetry.trace {
@@ -370,9 +401,6 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
         }
     };
 
-    // Taken unconditionally so a failed run cannot leak its error into
-    // the next one in the same process.
-    let bench_meta_error = xui_bench::take_bench_meta_error();
     if let Some(id) = sink.duplicate {
         return Err(format!(
             "scenario `{}` emitted artifact id `{id}` more than once; \
@@ -381,7 +409,7 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
         ));
     }
 
-    if let Some(e) = sink.save_error.or(bench_meta_error) {
+    if let Some(e) = sink.save_error {
         return Err(e);
     }
 

@@ -85,7 +85,7 @@ impl Topology {
 
 /// Which telemetry sinks an experiment can feed. These are capability
 /// flags, not switches: the actual `--trace PATH` / `--metrics` request
-/// arrives in [`xui_bench::BenchOpts`], and the runner rejects requests
+/// arrives in [`BenchOpts`](crate::runner::BenchOpts), and the runner rejects requests
 /// the scenario cannot honour instead of silently ignoring them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryCaps {

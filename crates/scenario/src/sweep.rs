@@ -32,12 +32,11 @@ use std::time::Duration;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use xui_bench::render_json;
-
 use crate::queue::RunQueue;
+use crate::registry;
+use crate::report::render_json;
 use crate::runner::RunOptions;
 use crate::spec::Scenario;
-use crate::registry;
 
 /// Upper bound on the points one sweep may expand to: grids are typed
 /// by hand and a fat-fingered range must fail loudly, not melt the box.

@@ -3,11 +3,10 @@
 //! subscribers (one deliberately slow), and open-loop request churn
 //! from the same client-population model the DES experiments use.
 //!
-//! The report lands under the `serve_load` key of
-//! `results/BENCH_sweep.json` (merged, like every other section of
-//! that shared file).
+//! The report is printed as a table and saved as
+//! `results/serve_load.json`.
 
-use xui_bench::{banner, record_bench_section, CliSpec, Table};
+use xui_scenario::{banner, save_json, CliError, CliSpec, Table};
 use xui_serve::{run_load, LoadConfig};
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
     let parsed = spec.parse_or_exit();
 
     let mut cfg = LoadConfig::default();
-    let overrides = (|| -> Result<(), xui_bench::CliError> {
+    let overrides = (|| -> Result<(), CliError> {
         if let Some(s) = parsed.opt("--scenario") {
             cfg.scenario = s.to_string();
         }
@@ -35,7 +34,7 @@ fn main() {
             cfg.clients = n.max(1);
         }
         if let Some(r) = parsed.opt("--rps") {
-            cfg.rps_per_client = r.parse().map_err(|_| xui_bench::CliError::InvalidValue {
+            cfg.rps_per_client = r.parse().map_err(|_| CliError::InvalidValue {
                 option: "--rps".to_string(),
                 value: r.to_string(),
                 want: "a positive number".to_string(),
@@ -84,10 +83,9 @@ fn main() {
     }
     t.print();
 
-    let saved = record_bench_section("serve_load", &report);
-    match &saved {
-        Ok(()) => println!("\n    [results/BENCH_sweep.json section `serve_load`]"),
-        Err(e) => eprintln!("serve_load: {e}"),
+    let saved = save_json("serve_load", &report);
+    if let Err(e) = &saved {
+        eprintln!("serve_load: {e}");
     }
 
     let ok = saved.is_ok()

@@ -7,9 +7,8 @@
 //!
 //! The report records achieved request throughput, response latency
 //! percentiles, and every subscriber's delivery/loss accounting; the
-//! `serve_load` binary lands it in `results/BENCH_sweep.json` so the
-//! control plane's capacity is tracked next to the DES and telemetry
-//! numbers.
+//! `serve_load` binary prints it and saves it as
+//! `results/serve_load.json`.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};

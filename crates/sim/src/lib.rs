@@ -22,7 +22,8 @@
 //!   forwarding avoid.
 //!
 //! See `xui-workloads` for the benchmark programs that run on this
-//! simulator, and `xui-bench` for the figure/table regeneration binaries.
+//! simulator, and `xui-scenario` for the experiments that regenerate the
+//! paper's figures and tables from it.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -8,10 +8,6 @@
 //! from the static taxonomy, and no wall-clock value is ever consulted —
 //! so the same run produces byte-identical traces for any worker count.
 
-use std::fs;
-use std::io;
-use std::path::Path;
-
 use crate::event::{Event, Phase};
 use crate::json;
 use crate::recorder::json_string;
@@ -152,34 +148,6 @@ fn event_line(pid: u32, ev: &Event, phase_override: Option<Phase>) -> String {
     }
     line.push('}');
     line
-}
-
-/// Writes a Chrome trace for one group of events to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace(path: &Path, events: &[Event]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, trace_json(events))
-}
-
-/// Writes a grouped Chrome trace to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace_grouped(path: &Path, groups: &[TraceGroup]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, trace_json_grouped(groups))
 }
 
 /// What [`validate`] found in a well-formed trace.

@@ -11,8 +11,8 @@
 //!
 //! Each subcommand parses its *own* flag set strictly — `xui show
 //! --threads 4` is a usage error (exit 2), not a silently ignored
-//! run-only flag. `run` takes the shared bench flags (`--threads`,
-//! `--trace`, `--metrics`, `--bench-meta`), `--faults <plan.json>`, and
+//! run-only flag. `run` takes the shared sweep flags (`--threads`,
+//! `--trace`, `--metrics`), `--faults <plan.json>`, and
 //! the fuzzer's corpus overrides (`--full`/`--sim`/`--seed`). `sweep`
 //! expands a sweep spec (see `docs/SCENARIOS.md`) into named points,
 //! fans them across a worker pool, and with `--shard I/N` runs only the
@@ -29,10 +29,12 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use xui_bench::{BenchOpts, CliSpec, Parsed, Table};
 use xui_scenario::spec::Experiment;
 use xui_scenario::sweep::{self, ShardSpec, SweepSpec};
-use xui_scenario::{registry, runner, RunOptions, Scenario};
+use xui_scenario::{
+    registry, runner, write_atomic, BenchOpts, CliError, CliSpec, Parsed, RunOptions, Scenario,
+    Table,
+};
 
 const COMMANDS: &str = "\
 usage: xui <command> [args]
@@ -170,7 +172,7 @@ fn cmd_run(parsed: &Parsed, spec: &CliSpec) {
             Err(e) => config_exit(format!("invalid fault plan `{path}`: {e}")),
         }
     }
-    let overrides = (|| -> Result<(), xui_bench::CliError> {
+    let overrides = (|| -> Result<(), CliError> {
         if let Experiment::OracleFuzz { full, sim } = &mut sc.experiment {
             if let Some(n) = parsed.opt_u64("--full")? {
                 *full = n;
@@ -194,14 +196,11 @@ fn cmd_run(parsed: &Parsed, spec: &CliSpec) {
     }
 }
 
+/// Writes a sweep artifact or manifest through a temp file and a rename,
+/// so a killed sweep never leaves a torn file for `--resume` to trust.
 fn write_file(path: &Path, bytes: &str) {
-    if let Some(parent) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            config_exit(format!("cannot create `{}`: {e}", parent.display()));
-        }
-    }
-    if let Err(e) = std::fs::write(path, bytes) {
-        config_exit(format!("cannot write `{}`: {e}", path.display()));
+    if let Err(e) = write_atomic(path, bytes.as_bytes()) {
+        config_exit(format!("cannot write {e}"));
     }
 }
 

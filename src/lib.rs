@@ -1,7 +1,6 @@
 //! Facade crate for the xUI reproduction workspace.
 #![forbid(unsafe_code)]
 pub use xui_accel as accel;
-pub use xui_bench as bench;
 pub use xui_core as core;
 pub use xui_des as des;
 pub use xui_faults as faults;

@@ -85,7 +85,6 @@ fn run_help_lists_every_run_flag() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "--bench-meta",
         "--metrics",
         "--trace <PATH>",
         "--threads <N>",
@@ -95,6 +94,11 @@ fn run_help_lists_every_run_flag() {
     ] {
         assert!(stdout.contains(needle), "help missing {needle}: {stdout}");
     }
+    // The serial-vs-parallel timing record is gone with its flag.
+    assert!(!stdout.contains("--bench-meta"), "help still offers --bench-meta: {stdout}");
+    let out = xui(&["run", "fig2_timeline", "--bench-meta"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("unknown flag `--bench-meta`"), "{}", stderr(&out));
 }
 
 #[test]
@@ -202,19 +206,23 @@ fn run_fails_loudly_when_results_cannot_be_written() {
 }
 
 #[test]
-fn run_fails_loudly_when_the_bench_meta_record_cannot_be_written() {
-    // `results/BENCH_sweep.json` is a directory: the artifact still
-    // saves, but the `--bench-meta` record cannot, and the run must say so.
-    let dir = tmp_path("bench-sweep-is-a-dir");
-    std::fs::create_dir_all(dir.join("results").join("BENCH_sweep.json")).expect("mkdir");
+fn run_fails_loudly_when_the_trace_cannot_be_written() {
+    // `notadir` is a regular file, so `notadir/t.json` cannot be created:
+    // the artifact still saves, but the trace the run was asked for
+    // cannot, and the run must say so.
+    let dir = tmp_path("trace-parent-is-a-file");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("notadir"), "not a directory").expect("write blocker");
     let out = Command::new(env!("CARGO_BIN_EXE_xui"))
-        .args(["run", "fig2_timeline", "--bench-meta"])
+        .args(["run", "fig2_timeline", "--trace", "notadir/t.json"])
         .current_dir(&dir)
         .output()
         .expect("xui binary runs");
     let artifact = dir.join("results").join("fig2_timeline.json").is_file();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("results/BENCH_sweep.json"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("notadir/t.json"), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("[trace"), "claimed a trace that failed: {stdout}");
     assert!(artifact, "the fig2_timeline artifact is still written");
 }

@@ -8,9 +8,8 @@
 
 use std::process::Command;
 
-use xui_bench::BenchOpts;
 use xui_scenario::spec::Experiment;
-use xui_scenario::{registry, runner, RunOptions, RunReport, Scenario};
+use xui_scenario::{registry, runner, BenchOpts, RunOptions, RunReport, Scenario};
 
 fn golden(id: &str) -> String {
     let path = format!("{}/tests/goldens/{id}.json", env!("CARGO_MANIFEST_DIR"));

@@ -5,11 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xui_bench::Sweep;
 use xui_des::engine::Engine;
 use xui_des::stats::Histogram;
 use xui_kernel::{TimeSource, TimerCoreSim};
 use xui_net::{run_l3fwd, IoMode, L3fwdConfig};
+use xui_scenario::{Sweep, SweepCtx};
 
 /// Runs the same sweep serially and with a fixed worker pool and asserts
 /// the rendered JSON is bit-identical.
@@ -17,7 +17,7 @@ fn assert_serial_parallel_identical<P, R, F>(points: Vec<P>, f: F)
 where
     P: Sync + Clone,
     R: Send + serde::Serialize,
-    F: Fn(&P, xui_bench::SweepCtx) -> R + Sync,
+    F: Fn(&P, SweepCtx) -> R + Sync,
 {
     let base = 0xD15C_0B5E_55ED_5EEDu64;
     let serial = Sweep::new(points.clone()).base_seed(base).threads(1).run(&f);

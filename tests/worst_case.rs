@@ -14,14 +14,13 @@
 
 use std::process::Command;
 
-use xui_bench::BenchOpts;
 use xui_faults::invariants::{EV_DELIVER, EV_POST};
 use xui_faults::{
     check_with_obligations, run_conformance, ConformanceScenario, InvariantConfig,
     LatencyObligation, ScheduledSend,
 };
 use xui_oracle::{Event as OracleEvent, Oracle, Schedule};
-use xui_scenario::{registry, runner, RunOptions, RunReport, Scenario};
+use xui_scenario::{registry, runner, BenchOpts, RunOptions, RunReport, Scenario};
 use xui_telemetry::Event;
 
 const WC_PRESETS: [&str; 4] =
