@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: DIR-24-8
 //! LPM build and lookup, one Figure 7 server point, the discrete-event
 //! engine, the latency histogram, the out-of-order pipeline model on a
-//! tiny loop and on a ROB-filling matmul, and the oracle differ.
+//! tiny loop, on a ROB-filling matmul and on a miss-bound pointer chase,
+//! and the oracle differ.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -20,7 +21,7 @@ use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
 use xui_sim::{Device, Program, System};
 use xui_telemetry::NullRecorder;
-use xui_workloads::programs::{matmul, Instrument};
+use xui_workloads::programs::{matmul, pointer_chase, Instrument};
 
 fn bench_lpm_lookup(c: &mut Criterion) {
     let lpm = Lpm::from_routes(&paper_route_table(1));
@@ -150,6 +151,20 @@ fn bench_pipeline_full_rob(c: &mut Criterion) {
     });
 }
 
+fn bench_pipeline_pointer_chase(c: &mut Criterion) {
+    // Dependent loads that miss most of the time: the core is stalled
+    // on nearly every cycle, the regime the run loops' quiet-cycle skip
+    // is for.
+    let w = pointer_chase(1024, 1000, Instrument::None);
+    c.bench_function("cycle_sim_pointer_chase_stalled", |b| {
+        b.iter(|| {
+            let mut sys = System::new(SystemConfig::xui(), vec![w.program.clone()]);
+            w.install(&mut sys, 0);
+            black_box(sys.run_until_core_halted(0, 100_000_000))
+        })
+    });
+}
+
 fn bench_protocol_send_deliver(c: &mut Criterion) {
     let mut sys = ProtocolModel::new(2);
     let sender = sys.create_thread();
@@ -251,6 +266,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
               bench_event_engine_churn, bench_histogram, bench_pipeline, bench_pipeline_full_rob,
+              bench_pipeline_pointer_chase,
               bench_protocol_send_deliver, bench_oracle_check, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }

@@ -13,7 +13,7 @@ const TABLE_BITS: usize = 12;
 const TABLE_SIZE: usize = 1 << TABLE_BITS;
 
 /// Two-bit-counter gshare predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
     history: u64,

@@ -5,6 +5,14 @@
 //! queue, functional units, load/store queues), and the three interrupt
 //! delivery strategies of §3.5/§4.2: **flush**, **drain**, and xUI
 //! **tracking**, plus hardware safepoint gating (§4.4).
+//!
+//! The scheduler never rescans the ROB. Each producer heads an intrusive
+//! wake-up list of the consumers waiting on it (no allocation per µop),
+//! and bit sets over ROB slots hold the Ready, unresolved-branch and
+//! live-microcode µops. A tick that changes nothing reports the first
+//! cycle at which the core can change on its own ([`Core::wake_at`]):
+//! until then every tick is a no-op, so [`crate::System`] jumps its clock
+//! over those cycles instead of ticking them.
 
 use std::collections::VecDeque;
 
@@ -85,7 +93,26 @@ enum EntryState {
     Done,
 }
 
-#[derive(Debug, Clone)]
+/// A link in a producer's wake-up list: a consumer's sequence number
+/// and which of its three dependence slots waits, packed as `seq * 4 +
+/// slot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Waiter(u64);
+
+impl Waiter {
+    /// The end of a list.
+    const NONE: Self = Self(u64::MAX);
+
+    fn new(seq: u64, slot: usize) -> Self {
+        Self(seq << 2 | slot as u64)
+    }
+
+    fn get(self) -> Option<(u64, usize)> {
+        (self != Self::NONE).then_some((self.0 >> 2, (self.0 & 3) as usize))
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct RobEntry {
     seq: u64,
     uop: Uop,
@@ -94,10 +121,14 @@ struct RobEntry {
     deps_remaining: u8,
     state: EntryState,
     result: u64,
-    dependents: Vec<u64>,
+    /// The youngest consumer waiting on this µop's result.
+    waiters: Waiter,
+    /// For each pending dependence slot: the next older consumer
+    /// waiting on the same producer.
+    next_waiter: [Waiter; 3],
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Fetched {
     uop: Uop,
     ready_at: u64,
@@ -107,15 +138,17 @@ struct Fetched {
 /// slots`). The ROB holds at most `rob_size` consecutive sequence
 /// numbers, so no two live µops share a slot, and a circular scan from
 /// a live µop's slot meets the younger members in age order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SeqSet {
     words: Vec<u64>,
+    len: usize,
 }
 
 impl SeqSet {
     fn new(rob_size: usize) -> Self {
         Self {
             words: vec![0; rob_size.div_ceil(64).max(1)],
+            len: 0,
         }
     }
 
@@ -128,24 +161,30 @@ impl SeqSet {
         ((slot / 64) as usize, 1 << (slot % 64))
     }
 
+    /// Adds `seq`, which must not be a member.
     fn insert(&mut self, seq: u64) {
         let (w, b) = self.bit(seq);
+        debug_assert!(self.words[w] & b == 0, "seq {seq} inserted twice");
         self.words[w] |= b;
+        self.len += 1;
     }
 
+    /// Removes `seq`, which must be a member.
     fn remove(&mut self, seq: u64) {
         let (w, b) = self.bit(seq);
+        debug_assert!(self.words[w] & b != 0, "seq {seq} removed but absent");
         self.words[w] &= !b;
+        self.len -= 1;
     }
 
     fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.len
     }
 
     /// The oldest member in `from..end`, for `from..end` inside the
     /// ROB's sequence window.
     fn first_in(&self, from: u64, end: u64) -> Option<u64> {
-        if from >= end {
+        if self.len == 0 || from >= end {
             return None;
         }
         let span = end - from;
@@ -192,7 +231,7 @@ enum IrqState {
     Injected { committed: bool },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Recovery {
     branch_seq: u64,
     redirect_pc: Pc,
@@ -262,7 +301,7 @@ pub mod upid_words {
 }
 
 /// One simulated out-of-order core.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Core {
     /// Core index (== its APIC id in the simulated system).
     pub id: usize,
@@ -314,6 +353,8 @@ pub struct Core {
     recovery: Option<Recovery>,
     next_commit_pc: Pc,
     halted: bool,
+    /// See [`Core::wake_at`].
+    wake_at: u64,
     last_micro_seq: Option<u64>,
     /// True while the micro-sequencer owns the front-end: set when a
     /// routine's final µop is fetched, cleared when the routine's serial
@@ -400,6 +441,7 @@ impl Core {
             recovery: None,
             next_commit_pc: 0,
             halted: false,
+            wake_at: 0,
             last_micro_seq: None,
             msrom_wait: false,
             uif: true,
@@ -457,6 +499,17 @@ impl Core {
     #[must_use]
     pub fn is_halted(&self) -> bool {
         self.halted
+    }
+
+    /// The first cycle at which [`Core::tick`] can change the core's
+    /// state without outside input (a posted interrupt, a notification,
+    /// a setter call): the cycle after the last tick if that tick changed
+    /// anything; after a tick that changed nothing, the earliest pending
+    /// completion, front-end arrival, fetch-stall end or KB_Timer
+    /// deadline; `u64::MAX` once halted. Every tick before it is a no-op.
+    #[must_use]
+    pub fn wake_at(&self) -> u64 {
+        self.wake_at
     }
 
     /// Posts a forwarded device interrupt / timer vector straight into
@@ -770,12 +823,13 @@ impl Core {
         }
     }
 
-    fn accept_interrupts(&mut self, now: u64, mem: &MemorySystem) {
+    /// Returns true if it changed any state.
+    fn accept_interrupts(&mut self, now: u64, mem: &MemorySystem) -> bool {
         if self.irq != IrqState::Idle || !self.uif || self.recovery.is_some() || self.halted {
-            return;
+            return false;
         }
         let Some(kind) = self.irq_pending_kind() else {
-            return;
+            return false;
         };
         if matches!(kind, IrqKind::Notif) {
             self.pending_notif = false;
@@ -784,7 +838,7 @@ impl Core {
             // recognition microcode finds nothing pending and delivers
             // nothing.
             if mem.peek(self.upid_addr + 8) == 0 && self.uirr == 0 {
-                return;
+                return true;
             }
         }
         self.current_irq = IrqTiming {
@@ -809,6 +863,7 @@ impl Core {
                 self.irq = IrqState::Draining { kind };
             }
         }
+        true
     }
 
     fn routine_for(&self, kind: IrqKind) -> Routine {
@@ -841,8 +896,24 @@ impl Core {
 
     fn squash_tail_one(&mut self) {
         if let Some(entry) = self.rob.pop_back() {
+            debug_assert!(entry.waiters == Waiter::NONE, "squashed µop has live waiters");
             match entry.state {
-                EntryState::Waiting => self.iq_count -= 1,
+                EntryState::Waiting => {
+                    self.iq_count -= 1;
+                    // Younger µops are squashed first, so this consumer
+                    // heads the wake-up list of each producer it waits
+                    // on; undo dispatch's links in reverse order.
+                    for s in (0..3).rev() {
+                        if let Some(prod) = entry.deps[s] {
+                            let p = &mut self.rob[(prod - self.head_seq) as usize];
+                            debug_assert!(
+                                p.waiters == Waiter::new(entry.seq, s),
+                                "squashed consumer heads its list"
+                            );
+                            p.waiters = entry.next_waiter[s];
+                        }
+                    }
+                }
                 EntryState::Ready => {
                     self.iq_count -= 1;
                     self.ready.remove(entry.seq);
@@ -970,22 +1041,27 @@ impl Core {
 
     /// Advances the core by one cycle against the shared memory system.
     /// Outgoing IPIs are retrieved afterwards with
-    /// [`Core::take_pending_ipi`].
+    /// [`Core::take_pending_ipi`]; [`Core::wake_at`] then tells when the
+    /// next tick can change anything.
     pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
         if self.halted {
             return;
         }
+        // Misprediction recovery and an interrupt flush squash or finish
+        // on every cycle they are active.
+        let mut changed =
+            self.recovery.is_some() || matches!(self.irq, IrqState::FlushSquashing { .. });
 
-        self.poll_kb_timer(now);
-        self.complete(now);
-        self.commit(now, mem);
+        changed |= self.poll_kb_timer(now);
+        changed |= self.complete(now);
+        changed |= self.commit(now, mem);
 
         let recovery_stall = self.step_recovery(now);
         let flush_stall = self.step_irq_flush(now);
 
-        self.accept_interrupts(now, mem);
+        changed |= self.accept_interrupts(now, mem);
 
-        self.issue(now, mem);
+        changed |= self.issue(now, mem);
 
         // Drain strategy: inject once the pipeline is empty.
         if let IrqState::Draining { kind } = self.irq {
@@ -995,6 +1071,7 @@ impl Core {
                 self.fetch_stall_until = self
                     .fetch_stall_until
                     .max(now + self.cfg.delivery_drain_penalty());
+                changed = true;
             }
         }
 
@@ -1009,18 +1086,19 @@ impl Core {
                     .any(|f| f.uop.micro);
             if !chain_busy {
                 self.msrom_wait = false;
+                changed = true;
             }
         }
 
         let flush_active = matches!(self.irq, IrqState::FlushSquashing { .. });
         if !flush_active && self.recovery.is_none() {
-            self.dispatch(now);
+            changed |= self.dispatch(now);
         }
 
         let draining = matches!(self.irq, IrqState::Draining { .. });
         if !recovery_stall && !flush_stall && !flush_active && !draining && self.recovery.is_none()
         {
-            self.fetch(now);
+            changed |= self.fetch(now);
         }
 
         // Halt once the last µop has committed — but never while an
@@ -1037,12 +1115,35 @@ impl Core {
         {
             self.halted = true;
             self.stats.halted_at = Some(now);
+            self.wake_at = u64::MAX;
+            return;
         }
+
+        self.wake_at = if changed { now + 1 } else { self.next_timed_event(now) };
     }
 
-    fn poll_kb_timer(&mut self, now: u64) {
+    /// After a tick at `now` that changed nothing, the state is the same
+    /// on the next cycle, and so is the tick, until a stage's comparison
+    /// against the clock flips: an in-flight µop completes, the oldest
+    /// fetched µop reaches dispatch, a fetch stall ends or the KB_Timer
+    /// fires. Returns the first such cycle.
+    fn next_timed_event(&self, now: u64) -> u64 {
+        let completion = self.in_flight.iter().map(|&(done_at, _)| done_at).min();
+        let arrival = self.fetch_buffer.front().map(|f| f.ready_at);
+        let stall_end = Some(self.fetch_stall_until);
+        let timer = self.kbt_deadline.filter(|_| self.kbt_enabled);
+        [completion, arrival, stall_end, timer]
+            .into_iter()
+            .flatten()
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Returns true if the timer fired.
+    fn poll_kb_timer(&mut self, now: u64) -> bool {
         if !self.kbt_enabled {
-            return;
+            return false;
         }
         if let Some(deadline) = self.kbt_deadline {
             if now >= deadline {
@@ -1056,11 +1157,14 @@ impl Core {
                     }
                     None => self.kbt_deadline = None,
                 }
+                return true;
             }
         }
+        false
     }
 
-    fn complete(&mut self, now: u64) {
+    /// Returns true if any µop completed.
+    fn complete(&mut self, now: u64) -> bool {
         let mut due = std::mem::take(&mut self.due);
         self.in_flight.retain(|&(done_at, seq)| {
             let waiting = done_at > now;
@@ -1077,31 +1181,29 @@ impl Core {
             let e = &mut self.rob[idx];
             e.state = EntryState::Done;
             let (uop, result) = (e.uop, e.result);
-            let dependents = std::mem::take(&mut e.dependents);
+            let mut waiter = std::mem::replace(&mut e.waiters, Waiter::NONE);
             self.forget_live(seq, uop);
             // Branch resolution happens at completion.
             self.resolve_branch_if_any(seq, now);
-            for dep_seq in dependents {
-                if let Some(di) = self.entry_index(dep_seq) {
-                    let d = &mut self.rob[di];
-                    for s in 0..3 {
-                        if d.deps[s] == Some(seq) {
-                            d.deps[s] = None;
-                            if s < 2 {
-                                d.src_vals[s] = result;
-                            }
-                            d.deps_remaining -= 1;
-                        }
-                    }
-                    if d.deps_remaining == 0 && matches!(d.state, EntryState::Waiting) {
-                        d.state = EntryState::Ready;
-                        self.ready.insert(dep_seq);
-                    }
+            while let Some((dep_seq, s)) = waiter.get() {
+                let d = &mut self.rob[(dep_seq - self.head_seq) as usize];
+                debug_assert_eq!(d.deps[s], Some(seq), "wake-up list link");
+                waiter = d.next_waiter[s];
+                d.deps[s] = None;
+                if s < 2 {
+                    d.src_vals[s] = result;
+                }
+                d.deps_remaining -= 1;
+                if d.deps_remaining == 0 {
+                    d.state = EntryState::Ready;
+                    self.ready.insert(dep_seq);
                 }
             }
         }
+        let completed = !due.is_empty();
         due.clear();
         self.due = due;
+        completed
     }
 
     /// Drops a µop that is no longer live (it completed or was squashed)
@@ -1188,7 +1290,8 @@ impl Core {
         }
     }
 
-    fn issue(&mut self, now: u64, mem: &mut MemorySystem) {
+    /// Returns true if any µop issued.
+    fn issue(&mut self, now: u64, mem: &mut MemorySystem) -> bool {
         let mut budget = self.cfg.issue_width;
         let mut int_used = 0;
         let mut mult_used = 0;
@@ -1217,11 +1320,13 @@ impl Core {
         // Waiting with no dependences left (dispatch and complete both
         // promote it), so these are all the µops that could issue.
         let mut cursor = self.head_seq;
-        while budget > 0 {
+        let mut unvisited = self.ready.len();
+        while budget > 0 && unvisited > 0 {
             let Some(seq) = self.ready.first_in(cursor, self.next_seq) else {
                 break;
             };
             cursor = seq + 1;
+            unvisited -= 1;
             let idx = (seq - self.head_seq) as usize;
             let uop = self.rob[idx].uop;
             if micro_engaged && !uop.micro {
@@ -1271,6 +1376,7 @@ impl Core {
                 Fu::Store => store_used += 1,
             }
         }
+        issued_any
     }
 
     /// Computes a µop's latency and result, applying execute-time side
@@ -1378,7 +1484,8 @@ impl Core {
         }
     }
 
-    fn dispatch(&mut self, now: u64) {
+    /// Returns true if any µop entered the ROB.
+    fn dispatch(&mut self, now: u64) -> bool {
         let mut budget = self.cfg.decode_width;
         while budget > 0 {
             let Some(front) = self.fetch_buffer.front() else {
@@ -1400,6 +1507,7 @@ impl Core {
             let seq = self.next_seq;
             self.next_seq += 1;
             let mut deps = [None, None, None];
+            let mut next_waiter = [Waiter::NONE; 3];
             let mut src_vals = [0u64, 0];
             let mut deps_remaining = 0u8;
             for s in 0..2 {
@@ -1413,12 +1521,14 @@ impl Core {
                                     self.rob.len(), self.next_seq, uop.kind, self.irq, self.recovery
                                 )
                             });
-                            if matches!(self.rob[pidx].state, EntryState::Done) {
-                                src_vals[s] = self.rob[pidx].result;
+                            let p = &mut self.rob[pidx];
+                            if matches!(p.state, EntryState::Done) {
+                                src_vals[s] = p.result;
                             } else {
                                 deps[s] = Some(prod_seq);
                                 deps_remaining += 1;
-                                self.rob[pidx].dependents.push(seq);
+                                next_waiter[s] =
+                                    std::mem::replace(&mut p.waiters, Waiter::new(seq, s));
                             }
                         }
                         None => src_vals[s] = self.regs[reg.index()],
@@ -1431,10 +1541,11 @@ impl Core {
             if uop.micro {
                 if let Some(prev) = self.last_micro_seq {
                     if let Some(pidx) = self.entry_index(prev) {
-                        if !matches!(self.rob[pidx].state, EntryState::Done) {
+                        let p = &mut self.rob[pidx];
+                        if !matches!(p.state, EntryState::Done) {
                             deps[2] = Some(prev);
                             deps_remaining += 1;
-                            self.rob[pidx].dependents.push(seq);
+                            next_waiter[2] = std::mem::replace(&mut p.waiters, Waiter::new(seq, 2));
                         }
                     }
                 }
@@ -1474,15 +1585,23 @@ impl Core {
                 deps_remaining,
                 state,
                 result: 0,
-                dependents: Vec::new(),
+                waiters: Waiter::NONE,
+                next_waiter,
             });
             budget -= 1;
         }
+        budget < self.cfg.decode_width
     }
 
-    fn fetch(&mut self, now: u64) {
-        if !self.fetch_enabled || now < self.fetch_stall_until {
-            return;
+    /// Returns true if fetch ran: it may then have changed state even
+    /// when it fetched nothing.
+    fn fetch(&mut self, now: u64) -> bool {
+        if !self.fetch_enabled
+            || now < self.fetch_stall_until
+            || self.msrom_wait
+            || self.fetch_buffer.len() >= self.cfg.fetch_queue_size
+        {
+            return false;
         }
         let mut budget = self.cfg.fetch_width;
         while budget > 0 {
@@ -1526,13 +1645,15 @@ impl Core {
             // A redirect into/out of MSROM still consumes the cycle's
             // remaining fetch slots naturally via the loop.
         }
+        true
     }
 
-    fn commit(&mut self, now: u64, mem: &mut MemorySystem) {
+    /// Returns true if any µop retired.
+    fn commit(&mut self, now: u64, mem: &mut MemorySystem) -> bool {
         // An interrupt flush stops retirement (everything uncommitted is
         // being squashed).
         if matches!(self.irq, IrqState::FlushSquashing { .. }) {
-            return;
+            return false;
         }
         let mut budget = self.cfg.retire_width;
         while budget > 0 {
@@ -1561,6 +1682,7 @@ impl Core {
             self.apply_commit(&entry, now, mem);
             budget -= 1;
         }
+        budget < self.cfg.retire_width
     }
 
     fn apply_commit(&mut self, entry: &RobEntry, now: u64, mem: &mut MemorySystem) {
@@ -1675,21 +1797,23 @@ impl Core {
 
     /// Rebuilds the scheduler state — the Ready set, the in-flight list,
     /// the unresolved branches and oldest of them, the live microcode
-    /// and `micro_engaged`, the store queue and the queue counts — from
-    /// a full ROB scan, and panics if the maintained state disagrees.
-    /// For tests; `tick` never calls it.
+    /// and `micro_engaged`, the store queue, the queue counts and the
+    /// wake-up lists — from a full ROB scan, and panics if the
+    /// maintained state disagrees. For tests; `tick` never calls it.
     #[doc(hidden)]
     pub fn check_scheduler_invariants(&self) {
         let (head, end) = (self.head_seq, self.next_seq);
         assert_eq!(end - head, self.rob.len() as u64, "ROB sequence window");
         let members = |set: &SeqSet, what: &str| {
+            let popcount: usize = set.words.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(set.len(), popcount, "{what}: member count");
             let mut out = Vec::new();
             let mut cursor = head;
             while let Some(seq) = set.first_in(cursor, end) {
                 out.push(seq);
                 cursor = seq + 1;
             }
-            assert_eq!(out.len(), set.len(), "{what}: member outside the ROB");
+            assert_eq!(out.len(), popcount, "{what}: member outside the ROB");
             out
         };
         let scan = |keep: &dyn Fn(&RobEntry) -> bool| -> Vec<u64> {
@@ -1699,6 +1823,12 @@ impl Core {
         let is_branch = |e: &RobEntry| matches!(e.uop.kind, Kind::Branch { .. });
         for (i, e) in self.rob.iter().enumerate() {
             assert_eq!(e.seq, head + i as u64, "ROB order");
+            assert_eq!(
+                usize::from(e.deps_remaining),
+                e.deps.iter().flatten().count(),
+                "seq {} dependence count",
+                e.seq
+            );
             match e.state {
                 EntryState::Waiting => assert!(e.deps_remaining > 0, "seq {} Waiting on nothing", e.seq),
                 EntryState::Ready => assert!(
@@ -1750,5 +1880,33 @@ impl Core {
         let queued = scan(&|e| matches!(e.state, EntryState::Waiting | EntryState::Ready));
         assert_eq!(self.iq_count, queued.len(), "issue-queue count");
         assert_eq!(self.lq_count, scan(&|e| e.uop.fu == Fu::Load).len(), "load-queue count");
+        // Wake-up lists: each link reaches a Waiting consumer whose slot
+        // waits on the list's producer, no link is reached twice, and
+        // there are as many links as pending dependences — so each
+        // pending `(producer, slot)` is linked exactly once.
+        let mut linked = std::collections::HashSet::new();
+        for p in &self.rob {
+            let mut link = p.waiters;
+            if link != Waiter::NONE {
+                assert!(live(p), "seq {} is Done with waiters", p.seq);
+            }
+            while let Some((c, s)) = link.get() {
+                let e = self
+                    .entry_index(c)
+                    .map(|i| &self.rob[i])
+                    .unwrap_or_else(|| {
+                        panic!("seq {}'s wake-up list reaches squashed seq {c}", p.seq)
+                    });
+                assert!(
+                    e.state == EntryState::Waiting && e.deps[s] == Some(p.seq),
+                    "seq {}'s wake-up list reaches seq {c} slot {s}, which does not wait on it",
+                    p.seq
+                );
+                assert!(linked.insert((c, s)), "seq {c} slot {s} linked twice");
+                link = e.next_waiter[s];
+            }
+        }
+        let pending: usize = self.rob.iter().map(|e| e.deps.iter().flatten().count()).sum();
+        assert_eq!(linked.len(), pending, "pending dependences missing from the wake-up lists");
     }
 }

@@ -28,7 +28,7 @@ fn word_of(addr: u64) -> u64 {
     addr & !7
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SetAssocCache {
     sets: Vec<Vec<(u64, u64)>>, // (line, lru_stamp)
     ways: usize,
@@ -106,7 +106,7 @@ pub struct MemStats {
 }
 
 /// The system-wide memory model: values plus timing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemorySystem {
     cfg: MemConfig,
     words: HashMap<u64, u64>,

@@ -1,5 +1,13 @@
 //! The multi-core system: cores in lockstep, the shared memory system, the
 //! IPI bus, and interrupt-source devices.
+//!
+//! [`System::tick`] advances one cycle. The run loops tick only the
+//! cycles on which something can change: after each tick every core
+//! reports the first cycle at which it can change on its own
+//! ([`Core::wake_at`]; a halted core never can), and the clock jumps to
+//! the earliest of those, the next device firing and the next bus
+//! arrival. The cycles in between are no-ops for every core, so each
+//! simulated count is what ticking them one by one gives.
 
 use serde::{Deserialize, Serialize};
 
@@ -267,39 +275,39 @@ impl System {
         self.cores.iter().all(Core::is_halted)
     }
 
-    /// With every core halted, nothing can change state between now and
-    /// the next external event (device fire or bus arrival): halting is
-    /// terminal for a core, so those cycles are pure clock advancement.
-    /// Returns the first cycle `>= self.cycle` (capped at `end`) at which
-    /// something can happen again — i.e. how far the clock may jump
-    /// without simulating individual cycles.
-    fn next_wakeup(&self, end: u64) -> u64 {
-        self.next_device_fire.min(self.next_bus_arrive).min(end)
-    }
-
-    /// Runs for `cycles` cycles, skipping dead cycles in bulk once every
-    /// core has halted (cycle-level semantics are unchanged: device
-    /// firings and bus deliveries still happen on their exact cycles).
-    pub fn run_cycles(&mut self, cycles: u64) {
-        let end = self.cycle.saturating_add(cycles);
-        while self.cycle < end {
-            if self.all_halted() {
-                let wake = self.next_wakeup(end);
-                if wake > self.cycle {
-                    self.cycle = wake;
-                    continue;
-                }
+    /// Runs until cycle `end` or until `done` holds, ticking only the
+    /// cycles on which a core, a device or the bus can change state and
+    /// jumping the clock over the rest. Device firings and bus
+    /// deliveries still happen on their exact cycles.
+    fn run_to(&mut self, end: u64, done: impl Fn(&Self) -> bool) {
+        // What the cores reported on their last tick; nothing is known
+        // until this loop has ticked them once (they may have been
+        // changed from outside since).
+        let mut cores_wake = self.cycle;
+        while self.cycle < end && !done(self) {
+            let wake = cores_wake
+                .min(self.next_device_fire)
+                .min(self.next_bus_arrive)
+                .min(end);
+            if wake > self.cycle {
+                self.cycle = wake;
+                continue;
             }
             self.tick();
+            cores_wake = self.cores.iter().map(Core::wake_at).min().unwrap_or(u64::MAX);
         }
+    }
+
+    /// Runs for `cycles` cycles.
+    pub fn run_cycles(&mut self, cycles: u64) {
+        let end = self.cycle.saturating_add(cycles);
+        self.run_to(end, |_| false);
     }
 
     /// Runs until every core halts or `max_cycles` elapse; returns the
     /// cycle count at stop.
     pub fn run_until_halted(&mut self, max_cycles: u64) -> u64 {
-        while self.cycle < max_cycles && !self.all_halted() {
-            self.tick();
-        }
+        self.run_to(max_cycles, Self::all_halted);
         self.cycle
     }
 
@@ -327,13 +335,10 @@ impl System {
     /// Runs until the given core halts or `max_cycles` elapse; returns
     /// the halt cycle, or `None` on timeout.
     pub fn run_until_core_halted(&mut self, core: usize, max_cycles: u64) -> Option<u64> {
-        while self.cycle < max_cycles {
-            if self.cores[core].is_halted() {
-                return self.cores[core].stats.halted_at;
-            }
-            self.tick();
-        }
-        None
+        self.run_to(max_cycles, |sys| sys.cores[core].is_halted());
+        // Stopping at `max_cycles` is a timeout even if the last tick
+        // halted the core.
+        self.cores[core].stats.halted_at.filter(|_| self.cycle < max_cycles)
     }
 }
 
@@ -361,37 +366,63 @@ mod tests {
         )
     }
 
+    /// `hops` dependent loads, each to a line of its own, so every one
+    /// misses to DRAM; the chain's nodes are poked in by [`chase_system`].
+    fn pointer_chase(hops: u64) -> Program {
+        Program::new(
+            "chase",
+            vec![
+                Inst::new(Op::Li { dst: Reg(1), imm: 0x10_0000 }),
+                Inst::new(Op::Li { dst: Reg(2), imm: hops }),
+                Inst::new(Op::Load { dst: Reg(1), base: Reg(1), offset: 0 }),
+                Inst::new(Op::Alu {
+                    kind: AluKind::Sub,
+                    dst: Reg(2),
+                    src: Reg(2),
+                    op2: Operand::Imm(1),
+                }),
+                Inst::new(Op::Bnez { src: Reg(2), target: 2 }),
+                Inst::new(Op::Halt),
+            ],
+        )
+    }
+
+    fn chase_system(hops: u64) -> System {
+        let mut sys = System::new(SystemConfig::uipi(), vec![pointer_chase(hops)]);
+        for i in 0..hops {
+            sys.mem.poke(0x10_0000 + i * 4096, 0x10_0000 + (i + 1) * 4096);
+        }
+        sys.add_device(Device::FlagWriter {
+            period: 700,
+            next_fire: 100,
+            addr: 0xA000,
+            value: 1,
+        });
+        sys
+    }
+
     #[test]
     fn dead_cycle_skip_matches_per_cycle_ticking() {
         // Two identical systems with a periodic flag writer; one runs via
-        // run_cycles (bulk-skips dead cycles once the core halts), the
-        // other ticks every cycle. All observable state must match.
-        let build = || {
-            let mut sys = System::new(SystemConfig::uipi(), vec![counting_loop(50)]);
-            sys.add_device(Device::FlagWriter {
-                period: 700,
-                next_fire: 100,
-                addr: 0xA000,
-                value: 1,
-            });
-            sys
-        };
-        let mut fast = build();
-        let mut slow = build();
-        fast.run_cycles(10_000);
-        for _ in 0..10_000 {
-            slow.tick();
+        // run_cycles (skipping the cycles on which nothing can change),
+        // the other ticks every cycle. The core first runs a
+        // memory-bound pointer chase, stalled on a DRAM miss most cycles,
+        // then halts, leaving only the writer. All state must match
+        // mid-chase and at the end.
+        let mut fast = chase_system(100);
+        let mut slow = chase_system(100);
+        for stop in [5_000, 40_000] {
+            fast.run_cycles(stop - fast.now());
+            while slow.now() < stop {
+                slow.tick();
+            }
+            assert_eq!(fast.now(), slow.now());
+            assert!(fast.cores[0] == slow.cores[0], "core state at cycle {stop}");
+            assert!(fast.mem == slow.mem, "memory state at cycle {stop}");
+            assert_eq!(fast.cores[0].is_halted(), stop == 40_000);
         }
-        assert_eq!(fast.now(), slow.now());
-        assert_eq!(fast.mem.peek(0xA000), slow.mem.peek(0xA000));
-        assert_eq!(
-            fast.cores[0].stats.committed_insts,
-            slow.cores[0].stats.committed_insts
-        );
-        assert_eq!(
-            fast.cores[0].stats.halted_at,
-            slow.cores[0].stats.halted_at
-        );
+        assert_eq!(fast.mem.peek(0xA000), 1);
+        assert_eq!(fast.cores[0].stats.committed_insts, 2 + 3 * 100 + 1);
     }
 
     #[test]

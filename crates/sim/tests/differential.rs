@@ -2,13 +2,16 @@
 //! pipeline must end in exactly the architectural state the functional
 //! interpreter computes — under every delivery strategy, with and without
 //! interrupts hammering the pipeline. Branchy programs also check the
-//! scheduler's incremental state against a full ROB scan every cycle.
+//! scheduler's incremental state against a full ROB scan every cycle,
+//! check that the cycles a core reports as quiet really change nothing,
+//! and check that the run loops' quiet-cycle skip ends in exactly the
+//! state per-cycle ticking reaches.
 
 use proptest::prelude::*;
 
 use xui_sim::config::{DeliveryStrategy, SystemConfig};
 use xui_sim::interp::{interpret, InterpState, Stop};
-use xui_sim::isa::{AluKind, Inst, Op, Operand, Pc, Program, Reg};
+use xui_sim::isa::{AluKind, Inst, Op, Operand, Pc, Program, Reg, REG_COUNT};
 use xui_sim::system::Device;
 use xui_sim::System;
 
@@ -151,22 +154,28 @@ fn build_branchy_program(steps: &[Step], iters: u64) -> Program {
     program
 }
 
-/// Runs `program` on one core cycle by cycle — self-`senduipi` wired
-/// up, a forwarded interrupt at `first_fire` and then every `period`
-/// cycles — and checks the
-/// core's scheduler invariants after every cycle. Returns the system if
-/// the program halted within the cycle limit.
-fn run_with_invariant_checks(
+/// Cycle limit of the invariant-checked runs.
+const CHECKED_RUN_CYCLES: u64 = 400_000;
+
+/// Cycles ticked ahead on a copy of a quiet core to check that it stays
+/// quiet: bounds the check for a core quiet until the next outside event.
+const QUIET_CHECK_HORIZON: u64 = 5_000;
+
+/// A one-core system running `program` with tracing on, self-`senduipi`
+/// wired up and a forwarded interrupt at `first_fire` and then every
+/// `period` cycles.
+fn build_system(
     program: &Program,
     strategy: DeliveryStrategy,
     safepoint_mode: bool,
     first_fire: u64,
     period: u64,
-) -> Option<System> {
+) -> System {
     let mut cfg = SystemConfig::uipi();
     cfg.strategy.0 = strategy;
     let mut sys = System::new(cfg, vec![program.clone()]);
     sys.cores[0].safepoint_mode = safepoint_mode;
+    sys.cores[0].trace_enabled = true;
     sys.register_receiver(0, program.len() - 2);
     sys.connect_sender(0, 0, 3);
     sys.add_device(Device::DirectIrq {
@@ -175,11 +184,48 @@ fn run_with_invariant_checks(
         core: 0,
         user_vector: 1,
     });
-    while sys.now() < 400_000 && !sys.cores[0].is_halted() {
+    sys
+}
+
+/// Runs `sys` cycle by cycle until core 0 halts or `max_cycles`, and
+/// after every cycle checks the core's scheduler invariants. Whenever
+/// the core reports itself quiet until a later cycle, ticks a copy of
+/// the core and the memory system on each cycle before it: each tick
+/// must report the same quiet stretch again, and neither copy may end
+/// up changed.
+fn run_with_invariant_checks(sys: &mut System, max_cycles: u64) {
+    let mut checked_until = 0;
+    while sys.now() < max_cycles && !sys.cores[0].is_halted() {
         sys.tick();
-        sys.cores[0].check_scheduler_invariants();
+        let core = &sys.cores[0];
+        core.check_scheduler_invariants();
+        let wake = core.wake_at();
+        if wake > sys.now() && wake > checked_until && !core.is_halted() {
+            let end = wake.min(sys.now() + QUIET_CHECK_HORIZON);
+            let (mut quiet, mut mem) = (core.clone(), sys.mem.clone());
+            for t in sys.now()..end {
+                quiet.tick(t, &mut mem);
+                assert_eq!(quiet.wake_at(), wake, "tick at cycle {t} was not quiet");
+            }
+            assert!(quiet == *core, "core changed before cycle {wake}");
+            assert!(mem == sys.mem, "memory changed before cycle {wake}");
+            checked_until = wake;
+        }
     }
-    sys.cores[0].is_halted().then_some(sys)
+}
+
+/// Asserts that two runs ended in the same simulated state.
+fn assert_same_run(skipped: &System, ticked: &System) {
+    let (a, b) = (&skipped.cores[0], &ticked.cores[0]);
+    assert_eq!(skipped.now(), ticked.now(), "final cycle");
+    assert_eq!(a.stats, b.stats, "CoreStats");
+    assert_eq!(a.irq_timings, b.irq_timings, "irq_timings");
+    assert_eq!(skipped.mem.stats(0), ticked.mem.stats(0), "MemStats");
+    for r in 0..REG_COUNT as u8 {
+        assert_eq!(a.reg(Reg(r)), b.reg(Reg(r)), "r{r}");
+    }
+    assert_eq!(a.trace, b.trace, "trace events");
+    assert!(a == b, "core state");
 }
 
 fn pipeline_state(
@@ -323,10 +369,12 @@ proptest! {
     /// Branchy programs with program-initiated microcode under interrupt
     /// pressure, under flush, drain, tracked and tracked-with-safepoints
     /// delivery: every cycle, the scheduler's maintained Ready set,
-    /// in-flight list, unresolved branches, live microcode and store
-    /// queue equal a full ROB rescan — across mispredict squashes,
-    /// interrupt flushes and tracked re-injection. Runs that halt also
-    /// end in the interpreter's architectural state.
+    /// in-flight list, unresolved branches, live microcode, store queue
+    /// and wake-up lists equal a full ROB rescan — across mispredict
+    /// squashes, interrupt flushes and tracked re-injection — and every
+    /// cycle the core reports as quiet changes nothing. The run loop
+    /// that skips quiet cycles ends in the per-cycle run's exact state,
+    /// and runs that halt end in the interpreter's architectural state.
     #[test]
     fn scheduler_state_matches_a_full_rob_scan(
         steps in proptest::collection::vec(branchy_step(), 1..14),
@@ -353,15 +401,18 @@ proptest! {
             (DeliveryStrategy::Tracked, true),
         ];
         for (strategy, safepoint_mode) in runs {
-            let Some(sys) = run_with_invariant_checks(
-                &program, strategy, safepoint_mode, first_fire, period,
-            )
-            else {
+            let build = || build_system(&program, strategy, safepoint_mode, first_fire, period);
+            let mut ticked = build();
+            run_with_invariant_checks(&mut ticked, CHECKED_RUN_CYCLES);
+            let mut skipped = build();
+            skipped.run_until_core_halted(0, CHECKED_RUN_CYCLES);
+            assert_same_run(&skipped, &ticked);
+            if !ticked.cores[0].is_halted() {
                 continue;
-            };
+            }
             for r in 1..10u8 {
                 prop_assert_eq!(
-                    sys.cores[0].reg(Reg(r)),
+                    ticked.cores[0].reg(Reg(r)),
                     golden.reg(Reg(r)),
                     "r{} under {:?} (safepoints: {})", r, strategy, safepoint_mode
                 );

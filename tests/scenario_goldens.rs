@@ -115,6 +115,12 @@ fn x1_worst_case_matches_golden() {
     check_preset("x1_worst_case");
 }
 
+/// Polling versus tracked delivery on the cycle-level sim.
+#[test]
+fn ablation_polling_vs_tracked_matches_golden() {
+    check_preset("ablation_polling_vs_tracked");
+}
+
 #[test]
 fn x3_signal_costs_matches_golden() {
     check_preset("x3_signal_costs");
