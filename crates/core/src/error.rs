@@ -65,9 +65,6 @@ pub enum XuiError {
         /// The offending thread id.
         thread: usize,
     },
-    /// `senduipi` executed while `IA32_UINTR_TT` has the enable bit clear
-    /// (hardware raises `#UD`/`#GP`).
-    SenduipiDisabled,
 }
 
 impl fmt::Display for XuiError {
@@ -95,9 +92,6 @@ impl fmt::Display for XuiError {
             Self::ThreadNotRunning { thread } => {
                 write!(f, "thread {thread} is not running on any core")
             }
-            Self::SenduipiDisabled => {
-                write!(f, "senduipi is not enabled for this thread (IA32_UINTR_TT bit 0 clear)")
-            }
         }
     }
 }
@@ -121,7 +115,6 @@ mod tests {
             XuiError::VectorAlreadyForwarded { vector: 8 },
             XuiError::CoreBusy { core: 0 },
             XuiError::ThreadNotRunning { thread: 5 },
-            XuiError::SenduipiDisabled,
         ];
         for err in errors {
             let text = err.to_string();

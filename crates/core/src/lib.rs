@@ -6,9 +6,13 @@
 //! tracked interrupts, the kernel-bypass timer (`KB_Timer`), hardware
 //! safepoints, and interrupt forwarding.
 //!
-//! This crate contains the *protocol*: the descriptors (UPID per Table 1,
-//! UITT, DUPID), the registers (UIF, UIRR, the APIC forwarding bitmaps,
-//! KB_Timer state), the instruction semantics (`senduipi`, `uiret`,
+//! This crate contains the *protocol*: who reads and writes the
+//! descriptors, and when. The UPID (Table 1) and UITT entry layouts are
+//! defined once, in `xui-uipi-abi`; this crate stores those packed types
+//! directly (the UITT is a table of `xui_uipi_abi::UittEntry`, the UPID
+//! memory a map of `xui_uipi_abi::Upid`). It adds the DUPID, the
+//! registers (UIF, UIRR, the APIC forwarding bitmaps, KB_Timer state),
+//! the instruction semantics (`senduipi`, `uiret`,
 //! `clui`/`stui`/`testui`, `set_timer`/`clear_timer`), and an executable
 //! whole-system reference model ([`model::ProtocolModel`]). Timing lives in
 //! the companion crates: `xui-sim` implements the same transitions at
@@ -43,17 +47,14 @@ pub mod error;
 pub mod forwarding;
 pub mod kb_timer;
 pub mod model;
-pub mod msr;
 pub mod receiver;
 pub mod safepoint;
 pub mod sender;
 pub mod uif;
 pub mod uirr;
 pub mod uitt;
-pub mod upid;
 pub mod vectors;
 
 pub use costs::{CostModel, NotifyMechanism};
 pub use error::XuiError;
-pub use upid::Upid;
 pub use vectors::{ApicId, UserVector, Vector};

@@ -12,14 +12,14 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
+use xui_uipi_abi::Upid;
 
 use crate::error::XuiError;
 use crate::forwarding::{ApicForwarding, Dupid, ForwardDecision, VectorBitmap};
 use crate::kb_timer::{KbTimer, TimerMode};
 use crate::receiver::{notification_processing, ReceiverState};
-use crate::sender::{senduipi, MapUpidMemory, UpidMemory};
+use crate::sender::{senduipi, MapUpidMemory};
 use crate::uitt::{Uitt, UittIndex, UpidAddr};
-use crate::upid::Upid;
 use crate::vectors::{ApicId, UserVector, Vector};
 
 /// Identifier of a thread in the protocol model.
@@ -34,7 +34,7 @@ pub struct ThreadId(pub usize);
 )]
 pub struct CoreId(pub usize);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ThreadState {
     upid_addr: Option<UpidAddr>,
     receiver: ReceiverState,
@@ -47,7 +47,7 @@ struct ThreadState {
     delivered: Vec<UserVector>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CoreState {
     apic_id: ApicId,
     current: Option<ThreadId>,
@@ -76,7 +76,7 @@ struct CoreState {
 /// assert_eq!(delivered, vec![UserVector::new(3)?]);
 /// # Ok::<(), xui_core::error::XuiError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolModel {
     mem: MapUpidMemory,
     threads: Vec<ThreadState>,
@@ -194,9 +194,9 @@ impl ProtocolModel {
             None => ApicId::new(0),
         };
         let mut upid = Upid::new();
-        upid.set_nv(uinv);
-        upid.set_ndst(apic);
-        upid.set_sn(running.is_none());
+        upid.nc.nv = uinv.as_u8();
+        upid.nc.ndst = apic.as_u32();
+        upid.nc.set_sn(running.is_none());
         self.mem.insert(addr, upid);
         let thread = self.thread_mut(tid)?;
         thread.upid_addr = Some(addr);
@@ -305,12 +305,11 @@ impl ProtocolModel {
 
         let mut reposted = 0u64;
         if let Some(addr) = upid_addr {
-            self.mem.rmw_upid(addr, &mut |upid| {
-                upid.set_sn(false);
-                upid.set_ndst(apic);
-                upid.set_on(false);
-                reposted = upid.take_pir();
-            })?;
+            let upid = self.mem.get_mut(addr)?;
+            upid.nc.set_sn(false);
+            upid.nc.ndst = apic.as_u32();
+            upid.nc.set_on(false);
+            reposted = upid.take_puir();
         }
         {
             let thread = self.thread_mut(tid)?;
@@ -347,7 +346,7 @@ impl ProtocolModel {
         };
         let upid_addr = self.thread(tid)?.upid_addr;
         if let Some(addr) = upid_addr {
-            self.mem.rmw_upid(addr, &mut |upid| upid.set_sn(true))?;
+            self.mem.get_mut(addr)?.nc.set_sn(true);
         }
         let core_state = &mut self.cores[core.0];
         let saved_active = core_state.forwarding.save_active();
@@ -391,7 +390,7 @@ impl ProtocolModel {
         // runs a thread whose UPID matches, notification processing moves
         // PIR → UIRR; otherwise the kernel captures it (slow path) and the
         // vector is reposted when the thread next runs.
-        let entry = uitt.lookup(index)?;
+        let entry_upid = UpidAddr(uitt.lookup(index)?.target_upid_addr);
         let dest_core = self
             .cores
             .iter()
@@ -399,9 +398,9 @@ impl ProtocolModel {
             .map(CoreId);
         if let Some(core) = dest_core {
             if let Some(cur) = self.cores[core.0].current {
-                if self.threads[cur.0].upid_addr == Some(entry.upid) {
+                if self.threads[cur.0].upid_addr == Some(entry_upid) {
                     let mut uirr = self.threads[cur.0].receiver.uirr;
-                    notification_processing(&mut self.mem, entry.upid, &mut uirr)?;
+                    notification_processing(&mut self.mem, entry_upid, &mut uirr)?;
                     self.threads[cur.0].receiver.uirr = uirr;
                 }
             }
@@ -594,7 +593,7 @@ impl ProtocolModel {
             .thread(tid)?
             .upid_addr
             .ok_or(XuiError::HandlerNotRegistered { thread: tid.0 })?;
-        self.mem.load_upid(addr)
+        self.mem.get(addr)
     }
 }
 
@@ -624,8 +623,8 @@ mod tests {
         assert_eq!(sys.run_pending(receiver).unwrap(), vec![uv(3)]);
         // UPID is fully drained afterwards.
         let upid = sys.upid_of(receiver).unwrap();
-        assert!(!upid.on());
-        assert_eq!(upid.pir(), 0);
+        assert!(!upid.nc.on());
+        assert_eq!(upid.puir, 0);
     }
 
     #[test]
@@ -634,8 +633,8 @@ mod tests {
         // Receiver not scheduled: SN is set, send posts without IPI.
         sys.senduipi(sender, idx).unwrap();
         let upid = sys.upid_of(receiver).unwrap();
-        assert!(upid.sn());
-        assert_eq!(upid.pir(), 1 << 3);
+        assert!(upid.nc.sn());
+        assert_eq!(upid.puir, 1 << 3);
         // Resume: kernel reposts.
         sys.schedule(receiver, CoreId(1)).unwrap();
         assert_eq!(sys.run_pending(receiver).unwrap(), vec![uv(3)]);
@@ -645,11 +644,11 @@ mod tests {
     fn migration_updates_ndst() {
         let (mut sys, sender, receiver, idx) = two_thread_setup();
         sys.schedule(receiver, CoreId(1)).unwrap();
-        assert_eq!(sys.upid_of(receiver).unwrap().ndst(), ApicId::new(1));
+        assert_eq!(sys.upid_of(receiver).unwrap().nc.ndst, 1);
         sys.deschedule(CoreId(1)).unwrap();
         sys.deschedule(CoreId(0)).unwrap();
         sys.schedule(receiver, CoreId(0)).unwrap();
-        assert_eq!(sys.upid_of(receiver).unwrap().ndst(), ApicId::new(0));
+        assert_eq!(sys.upid_of(receiver).unwrap().nc.ndst, 0);
         sys.schedule(sender, CoreId(1)).unwrap();
         sys.senduipi(sender, idx).unwrap();
         assert_eq!(sys.run_pending(receiver).unwrap(), vec![uv(3)]);
@@ -659,10 +658,10 @@ mod tests {
     fn deschedule_sets_sn() {
         let (mut sys, _, receiver, _) = two_thread_setup();
         sys.schedule(receiver, CoreId(1)).unwrap();
-        assert!(!sys.upid_of(receiver).unwrap().sn());
+        assert!(!sys.upid_of(receiver).unwrap().nc.sn());
         let out = sys.deschedule(CoreId(1)).unwrap();
         assert_eq!(out, Some(receiver));
-        assert!(sys.upid_of(receiver).unwrap().sn());
+        assert!(sys.upid_of(receiver).unwrap().nc.sn());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::XuiError;
-use crate::sender::UpidMemory;
+use crate::sender::MapUpidMemory;
 use crate::uif::Uif;
 use crate::uirr::Uirr;
 use crate::uitt::UpidAddr;
@@ -41,16 +41,14 @@ pub fn recognizes_notification(incoming: Vector, uinv: Vector) -> bool {
 /// # Errors
 ///
 /// Returns [`XuiError::UnknownUpid`] if `upid_addr` is unmapped.
-pub fn notification_processing<M: UpidMemory>(
-    mem: &mut M,
+pub fn notification_processing(
+    mem: &mut MapUpidMemory,
     upid_addr: UpidAddr,
     uirr: &mut Uirr,
 ) -> Result<u64, XuiError> {
-    let mut drained = 0;
-    mem.rmw_upid(upid_addr, &mut |upid| {
-        upid.set_on(false);
-        drained = upid.take_pir();
-    })?;
+    let upid = mem.get_mut(upid_addr)?;
+    upid.nc.set_on(false);
+    let drained = upid.take_puir();
     uirr.merge_pir(drained);
     Ok(drained)
 }
@@ -163,9 +161,9 @@ impl ReceiverState {
 
 #[cfg(test)]
 mod tests {
+    use xui_uipi_abi::Upid;
+
     use super::*;
-    use crate::sender::MapUpidMemory;
-    use crate::upid::Upid;
 
     fn uv(raw: u8) -> UserVector {
         UserVector::new(raw).unwrap()
@@ -182,9 +180,9 @@ mod tests {
     fn notification_processing_drains_pir_into_uirr() {
         let addr = UpidAddr(0x40);
         let mut upid = Upid::new();
-        upid.set_on(true);
-        upid.post(uv(4));
-        upid.post(uv(11));
+        upid.nc.set_on(true);
+        upid.post(4);
+        upid.post(11);
         let mut mem = MapUpidMemory::new();
         mem.insert(addr, upid);
 
@@ -193,9 +191,9 @@ mod tests {
         assert_eq!(drained, (1 << 4) | (1 << 11));
         assert_eq!(uirr.bits(), drained);
 
-        let after = mem.load_upid(addr).unwrap();
-        assert!(!after.on());
-        assert_eq!(after.pir(), 0);
+        let after = mem.get(addr).unwrap();
+        assert!(!after.nc.on());
+        assert_eq!(after.puir, 0);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! `NV`.
 
 use serde::{Deserialize, Serialize};
+use xui_uipi_abi::Upid;
 
 use crate::error::XuiError;
-use crate::msr::UintrMsrs;
 use crate::uitt::{Uitt, UittIndex, UpidAddr};
-use crate::upid::Upid;
 use crate::vectors::{ApicId, Vector};
 
 /// A conventional inter-processor interrupt message travelling the system
@@ -40,74 +39,26 @@ pub struct SendOutcome {
     pub suppressed: bool,
 }
 
-/// Abstract shared memory holding UPIDs.
+/// The shared memory holding UPIDs: a `Vec` kept sorted by address,
+/// since a model maps only a handful of descriptors (sorting also makes
+/// the derived `PartialEq` independent of insertion order).
 ///
-/// The architectural model performs real loads and RMWs on descriptors
-/// through this trait so that callers can attach coherence/timing semantics
-/// (the cycle-level simulator) or use a plain map (protocol-level tests).
-/// A `&mut M` can be passed wherever `M: UpidMemory` is required.
-pub trait UpidMemory {
-    /// Loads the descriptor at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XuiError::UnknownUpid`] if no descriptor lives at `addr`.
-    fn load_upid(&self, addr: UpidAddr) -> Result<Upid, XuiError>;
-
-    /// Stores the descriptor at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XuiError::UnknownUpid`] if no descriptor lives at `addr`.
-    fn store_upid(&mut self, addr: UpidAddr, upid: Upid) -> Result<(), XuiError>;
-
-    /// Atomically read-modify-writes the descriptor at `addr`, returning
-    /// the *pre-modification* value (like a fetch-and-op).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XuiError::UnknownUpid`] if no descriptor lives at `addr`.
-    fn rmw_upid(
-        &mut self,
-        addr: UpidAddr,
-        f: &mut dyn FnMut(&mut Upid),
-    ) -> Result<Upid, XuiError> {
-        let before = self.load_upid(addr)?;
-        let mut after = before;
-        f(&mut after);
-        self.store_upid(addr, after)?;
-        Ok(before)
-    }
-}
-
-impl<M: UpidMemory + ?Sized> UpidMemory for &mut M {
-    fn load_upid(&self, addr: UpidAddr) -> Result<Upid, XuiError> {
-        (**self).load_upid(addr)
-    }
-
-    fn store_upid(&mut self, addr: UpidAddr, upid: Upid) -> Result<(), XuiError> {
-        (**self).store_upid(addr, upid)
-    }
-}
-
-/// A plain map-backed [`UpidMemory`] for protocol-level modelling and
-/// tests: a `Vec` kept sorted by address, since a model maps only a
-/// handful of descriptors (sorting also makes the derived `PartialEq`
-/// independent of insertion order).
+/// `senduipi` and notification processing perform their RMWs on the
+/// packed [`Upid`] in place through [`MapUpidMemory::get_mut`].
 ///
 /// # Examples
 ///
 /// ```
-/// use xui_core::sender::{MapUpidMemory, UpidMemory};
+/// use xui_core::sender::MapUpidMemory;
 /// use xui_core::uitt::UpidAddr;
-/// use xui_core::upid::Upid;
+/// use xui_uipi_abi::Upid;
 ///
 /// let mut mem = MapUpidMemory::new();
 /// mem.insert(UpidAddr(0x40), Upid::new());
-/// assert!(mem.load_upid(UpidAddr(0x40)).is_ok());
-/// assert!(mem.load_upid(UpidAddr(0x80)).is_err());
+/// assert!(mem.get(UpidAddr(0x40)).is_ok());
+/// assert!(mem.get(UpidAddr(0x80)).is_err());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MapUpidMemory {
     entries: Vec<(u64, Upid)>,
 }
@@ -138,6 +89,27 @@ impl MapUpidMemory {
         self.slot(addr).ok().map(|i| self.entries.remove(i).1)
     }
 
+    /// Loads the descriptor at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XuiError::UnknownUpid`] if no descriptor lives at `addr`.
+    pub fn get(&self, addr: UpidAddr) -> Result<Upid, XuiError> {
+        self.slot(addr)
+            .map(|i| self.entries[i].1)
+            .map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })
+    }
+
+    /// The descriptor at `addr`, for an in-place atomic RMW.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XuiError::UnknownUpid`] if no descriptor lives at `addr`.
+    pub fn get_mut(&mut self, addr: UpidAddr) -> Result<&mut Upid, XuiError> {
+        let i = self.slot(addr).map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })?;
+        Ok(&mut self.entries[i].1)
+    }
+
     /// Number of mapped descriptors.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -148,31 +120,6 @@ impl MapUpidMemory {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl UpidMemory for MapUpidMemory {
-    fn load_upid(&self, addr: UpidAddr) -> Result<Upid, XuiError> {
-        self.slot(addr)
-            .map(|i| self.entries[i].1)
-            .map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })
-    }
-
-    fn store_upid(&mut self, addr: UpidAddr, upid: Upid) -> Result<(), XuiError> {
-        let i = self.slot(addr).map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })?;
-        self.entries[i].1 = upid;
-        Ok(())
-    }
-
-    fn rmw_upid(
-        &mut self,
-        addr: UpidAddr,
-        f: &mut dyn FnMut(&mut Upid),
-    ) -> Result<Upid, XuiError> {
-        let i = self.slot(addr).map_err(|_| XuiError::UnknownUpid { addr: addr.as_u64() })?;
-        let before = self.entries[i].1;
-        f(&mut self.entries[i].1);
-        Ok(before)
     }
 }
 
@@ -197,13 +144,13 @@ impl UpidMemory for MapUpidMemory {
 /// ```
 /// use xui_core::sender::{senduipi, MapUpidMemory};
 /// use xui_core::uitt::{Uitt, UpidAddr};
-/// use xui_core::upid::Upid;
-/// use xui_core::vectors::{ApicId, UserVector, Vector};
+/// use xui_core::vectors::{ApicId, UserVector};
+/// use xui_uipi_abi::Upid;
 ///
 /// let mut mem = MapUpidMemory::new();
 /// let mut upid = Upid::new();
-/// upid.set_nv(Vector::new(0xec));
-/// upid.set_ndst(ApicId::new(1));
+/// upid.nc.nv = 0xec;
+/// upid.nc.ndst = 1;
 /// mem.insert(UpidAddr(0x40), upid);
 ///
 /// let mut uitt = Uitt::new();
@@ -214,55 +161,26 @@ impl UpidMemory for MapUpidMemory {
 /// assert_eq!(ipi.dest, ApicId::new(1));
 /// # Ok::<(), xui_core::error::XuiError>(())
 /// ```
-pub fn senduipi<M: UpidMemory>(
+pub fn senduipi(
     uitt: &Uitt,
-    mem: &mut M,
+    mem: &mut MapUpidMemory,
     index: UittIndex,
 ) -> Result<SendOutcome, XuiError> {
     let entry = uitt.lookup(index)?;
-    let mut newly_posted = false;
-    let mut raise_ipi = false;
-    let before = mem.rmw_upid(entry.upid, &mut |upid| {
-        newly_posted = upid.post(entry.vector);
-        if !upid.sn() && !upid.on() {
-            upid.set_on(true);
-            raise_ipi = true;
-        }
-    })?;
-    let suppressed = before.sn();
-    let ipi = raise_ipi.then(|| IpiMessage {
-        dest: before.ndst(),
-        vector: before.nv(),
+    let upid = mem.get_mut(UpidAddr(entry.target_upid_addr))?;
+    let newly_posted = upid.post(entry.user_vec);
+    let suppressed = upid.nc.sn();
+    // `test_and_set_on` runs only when SN is clear: a suppressed send
+    // leaves ON untouched.
+    let ipi = (!suppressed && !upid.nc.test_and_set_on()).then(|| IpiMessage {
+        dest: ApicId::new(upid.nc.ndst),
+        vector: Vector::new(upid.nc.nv),
     });
     Ok(SendOutcome {
         newly_posted,
         ipi,
         suppressed,
     })
-}
-
-/// Like [`senduipi`], but first performs the architectural permission
-/// checks against the thread's MSR file: the `IA32_UINTR_TT` enable bit
-/// must be set and the index must not exceed `UITTSZ`.
-///
-/// # Errors
-///
-/// Returns [`XuiError::SenduipiDisabled`] if the feature is off,
-/// [`XuiError::InvalidUittIndex`] if the index exceeds `UITTSZ` or the
-/// entry is invalid, and propagates descriptor errors.
-pub fn senduipi_checked<M: UpidMemory>(
-    msrs: &UintrMsrs,
-    uitt: &Uitt,
-    mem: &mut M,
-    index: UittIndex,
-) -> Result<SendOutcome, XuiError> {
-    if !msrs.senduipi_enabled() {
-        return Err(XuiError::SenduipiDisabled);
-    }
-    if index.0 > msrs.uittsz() as usize {
-        return Err(XuiError::InvalidUittIndex { index: index.0 });
-    }
-    senduipi(uitt, mem, index)
 }
 
 #[cfg(test)]
@@ -273,10 +191,10 @@ mod tests {
     fn setup(sn: bool, on: bool) -> (Uitt, MapUpidMemory, UittIndex, UpidAddr) {
         let addr = UpidAddr(0x40);
         let mut upid = Upid::new();
-        upid.set_nv(Vector::new(0xec));
-        upid.set_ndst(ApicId::new(3));
-        upid.set_sn(sn);
-        upid.set_on(on);
+        upid.nc.nv = 0xec;
+        upid.nc.ndst = 3;
+        upid.nc.set_sn(sn);
+        upid.nc.set_on(on);
         let mut mem = MapUpidMemory::new();
         mem.insert(addr, upid);
         let mut uitt = Uitt::new();
@@ -297,9 +215,9 @@ mod tests {
                 vector: Vector::new(0xec)
             })
         );
-        let upid = mem.load_upid(addr).unwrap();
-        assert!(upid.on());
-        assert_eq!(upid.pir(), 1 << 9);
+        let upid = mem.get(addr).unwrap();
+        assert!(upid.nc.on());
+        assert_eq!(upid.puir, 1 << 9);
     }
 
     #[test]
@@ -308,7 +226,7 @@ mod tests {
         let outcome = senduipi(&uitt, &mut mem, idx).unwrap();
         assert!(outcome.newly_posted);
         assert_eq!(outcome.ipi, None, "ON already set: no duplicate IPI");
-        assert!(mem.load_upid(addr).unwrap().on());
+        assert!(mem.get(addr).unwrap().nc.on());
     }
 
     #[test]
@@ -317,9 +235,9 @@ mod tests {
         let outcome = senduipi(&uitt, &mut mem, idx).unwrap();
         assert!(outcome.suppressed);
         assert_eq!(outcome.ipi, None);
-        let upid = mem.load_upid(addr).unwrap();
-        assert_eq!(upid.pir(), 1 << 9, "vector still posted for the slow path");
-        assert!(!upid.on(), "ON untouched while suppressed");
+        let upid = mem.get(addr).unwrap();
+        assert_eq!(upid.puir, 1 << 9, "vector still posted for the slow path");
+        assert!(!upid.nc.on(), "ON untouched while suppressed");
     }
 
     #[test]
@@ -344,33 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn checked_send_enforces_msrs() {
-        use crate::msr::UintrMsrs;
-        let (uitt, mut mem, idx, _) = setup(false, false);
-        let mut msrs = UintrMsrs::new();
-        // Disabled: #UD.
-        assert_eq!(
-            senduipi_checked(&msrs, &uitt, &mut mem, idx),
-            Err(XuiError::SenduipiDisabled)
-        );
-        // Enabled but UITTSZ too small for index 1.
-        msrs.set_uitt(0x3000_0000, true);
-        msrs.set_uittsz(0);
-        assert!(senduipi_checked(&msrs, &uitt, &mut mem, idx).is_ok());
-        assert_eq!(
-            senduipi_checked(&msrs, &uitt, &mut mem, UittIndex(1)),
-            Err(XuiError::InvalidUittIndex { index: 1 })
-        );
-        // Properly sized: succeeds.
-        msrs.set_uittsz(8);
-        assert!(senduipi_checked(&msrs, &uitt, &mut mem, idx).is_ok());
-    }
-
-    #[test]
     fn map_memory_is_keyed_by_address_in_any_insertion_order() {
         let (a, b, c) = (UpidAddr(0x80), UpidAddr(0x40), UpidAddr(0xc0));
         let mut one = Upid::new();
-        one.set_ndst(ApicId::new(1));
+        one.nc.ndst = 1;
         let mut fwd = MapUpidMemory::new();
         let mut rev = MapUpidMemory::new();
         for addr in [a, b, c] {
@@ -382,12 +277,12 @@ mod tests {
         assert_eq!(fwd, rev, "equality ignores insertion order");
         fwd.insert(b, one);
         assert_eq!(fwd.len(), 3, "re-inserting an address replaces its descriptor");
-        assert_eq!(fwd.load_upid(b).unwrap(), one);
+        assert_eq!(fwd.get(b).unwrap(), one);
         assert_ne!(fwd, rev);
         assert_eq!(fwd.remove(b), Some(one));
         assert_eq!(fwd.remove(b), None);
-        assert_eq!(fwd.store_upid(b, one), Err(XuiError::UnknownUpid { addr: 0x40 }));
-        assert_eq!(fwd.load_upid(c).unwrap(), Upid::new());
+        assert_eq!(fwd.get_mut(b), Err(XuiError::UnknownUpid { addr: 0x40 }));
+        assert_eq!(fwd.get(c).unwrap(), Upid::new());
         assert_eq!(fwd.len(), 2);
     }
 

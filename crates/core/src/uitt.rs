@@ -5,10 +5,8 @@
 //! ⟨UPID address, user vector⟩ (§3.1). `senduipi` takes an index into this
 //! table; an invalid index faults.
 //!
-//! Since the `uipi_abi` refactor each entry is a view over the packed
-//! 16-byte [`abi::UittEntry`] memory form ([`UittEntry::packed`]), and
-//! the whole table serializes to its byte image ([`Uitt::pack`]) so the
-//! differential fuzzer can compare tables across models byte for byte.
+//! Each slot is stored in its packed 16-byte [`abi::UittEntry`] memory
+//! form, the one definition of the entry layout in the workspace.
 
 use serde::{Deserialize, Serialize};
 use xui_uipi_abi as abi;
@@ -39,38 +37,6 @@ impl UpidAddr {
 )]
 pub struct UittIndex(pub usize);
 
-/// One UITT entry: where to post (`upid`) and what to post (`vector`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct UittEntry {
-    /// Address of the destination thread's UPID.
-    pub upid: UpidAddr,
-    /// The user vector delivered to the destination's handler.
-    pub vector: UserVector,
-    /// Whether the entry is valid; `senduipi` on an invalid entry faults.
-    pub valid: bool,
-}
-
-impl UittEntry {
-    /// The entry in its packed 16-byte memory form.
-    #[must_use]
-    pub fn packed(&self) -> abi::UittEntry {
-        let mut e = abi::UittEntry::valid_entry(self.vector.as_u8(), self.upid.as_u64());
-        e.set_valid(self.valid);
-        e
-    }
-
-    /// Rebuilds the view from the packed memory form (the user vector is
-    /// truncated into the 6-bit UV space, as hardware would).
-    #[must_use]
-    pub fn from_packed(packed: &abi::UittEntry) -> Self {
-        Self {
-            upid: UpidAddr(packed.target_upid_addr),
-            vector: UserVector::from_truncated(packed.user_vec),
-            valid: packed.is_valid(),
-        }
-    }
-}
-
 /// A per-process User Interrupt Target Table.
 ///
 /// The kernel appends entries via `register_sender(...)`; the process sends
@@ -85,12 +51,12 @@ impl UittEntry {
 /// let mut uitt = Uitt::new();
 /// let idx = uitt.register(UpidAddr(0x1000), UserVector::new(3)?);
 /// let entry = uitt.lookup(idx)?;
-/// assert_eq!(entry.upid, UpidAddr(0x1000));
+/// assert_eq!(entry.target_upid_addr, 0x1000);
 /// # Ok::<(), xui_core::error::XuiError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Uitt {
-    entries: Vec<UittEntry>,
+    entries: Vec<abi::UittEntry>,
 }
 
 impl Uitt {
@@ -102,11 +68,7 @@ impl Uitt {
 
     /// Appends a valid entry, returning the index `senduipi` should use.
     pub fn register(&mut self, upid: UpidAddr, vector: UserVector) -> UittIndex {
-        self.entries.push(UittEntry {
-            upid,
-            vector,
-            valid: true,
-        });
+        self.entries.push(abi::UittEntry::valid_entry(vector.as_u8(), upid.as_u64()));
         UittIndex(self.entries.len() - 1)
     }
 
@@ -116,12 +78,9 @@ impl Uitt {
     /// extended with invalid entries as needed.
     pub fn register_at(&mut self, index: UittIndex, upid: UpidAddr, vector: UserVector) {
         if index.0 >= self.entries.len() {
-            self.entries.resize(
-                index.0 + 1,
-                UittEntry { upid: UpidAddr(0), vector: UserVector::from_truncated(0), valid: false },
-            );
+            self.entries.resize(index.0 + 1, abi::UittEntry::new());
         }
-        self.entries[index.0] = UittEntry { upid, vector, valid: true };
+        self.entries[index.0] = abi::UittEntry::valid_entry(vector.as_u8(), upid.as_u64());
     }
 
     /// Looks up an entry for `senduipi`.
@@ -131,9 +90,9 @@ impl Uitt {
     /// Returns [`XuiError::InvalidUittIndex`] if the index is out of range
     /// or the entry has been invalidated — the conditions under which
     /// hardware raises `#GP`.
-    pub fn lookup(&self, index: UittIndex) -> Result<UittEntry, XuiError> {
+    pub fn lookup(&self, index: UittIndex) -> Result<abi::UittEntry, XuiError> {
         match self.entries.get(index.0) {
-            Some(entry) if entry.valid => Ok(*entry),
+            Some(entry) if entry.is_valid() => Ok(*entry),
             _ => Err(XuiError::InvalidUittIndex { index: index.0 }),
         }
     }
@@ -147,7 +106,7 @@ impl Uitt {
     pub fn invalidate(&mut self, index: UittIndex) -> Result<(), XuiError> {
         match self.entries.get_mut(index.0) {
             Some(entry) => {
-                entry.valid = false;
+                entry.set_valid(false);
                 Ok(())
             }
             None => Err(XuiError::InvalidUittIndex { index: index.0 }),
@@ -164,22 +123,6 @@ impl Uitt {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterates over the table's slots in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &UittEntry> {
-        self.entries.iter()
-    }
-
-    /// Serializes the table as its packed memory image: each slot's
-    /// 16-byte [`abi::UittEntry`] form, concatenated in index order.
-    #[must_use]
-    pub fn pack(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.entries.len() * abi::uitt::UITT_ENTRY_BYTES);
-        for entry in &self.entries {
-            bytes.extend_from_slice(&entry.packed().pack());
-        }
-        bytes
     }
 }
 
@@ -198,8 +141,8 @@ mod tests {
         let b = uitt.register(UpidAddr(0x200), uv(2));
         assert_eq!(a, UittIndex(0));
         assert_eq!(b, UittIndex(1));
-        assert_eq!(uitt.lookup(a).unwrap().upid, UpidAddr(0x100));
-        assert_eq!(uitt.lookup(b).unwrap().vector, uv(2));
+        assert_eq!(uitt.lookup(a).unwrap().target_upid_addr, 0x100);
+        assert_eq!(uitt.lookup(b).unwrap().user_vec, 2);
         assert_eq!(uitt.len(), 2);
         assert!(!uitt.is_empty());
     }
@@ -223,7 +166,7 @@ mod tests {
             uitt.lookup(a),
             Err(XuiError::InvalidUittIndex { index: 0 })
         );
-        assert_eq!(uitt.lookup(b).unwrap().upid, UpidAddr(0x200));
+        assert_eq!(uitt.lookup(b).unwrap().target_upid_addr, 0x200);
     }
 
     #[test]
@@ -233,44 +176,17 @@ mod tests {
     }
 
     #[test]
-    fn packed_entry_round_trips_and_table_image_is_16_bytes_per_slot() {
-        let mut uitt = Uitt::new();
-        let a = uitt.register(UpidAddr(0x1000), uv(5));
-        uitt.register(UpidAddr(0x2000), uv(9));
-        uitt.invalidate(a).unwrap();
-        for entry in uitt.iter() {
-            assert_eq!(&UittEntry::from_packed(&entry.packed()), entry);
-        }
-        let image = uitt.pack();
-        assert_eq!(image.len(), 32);
-        assert_eq!(image[0], 0, "invalidated entry has the valid bit clear");
-        assert_eq!(image[16], 1);
-        assert_eq!(image[17], 9);
-        assert_eq!(u64::from_le_bytes(image[24..32].try_into().unwrap()), 0x2000);
-    }
-
-    #[test]
     fn register_at_fills_a_specific_slot_and_pads_with_invalid() {
         let mut uitt = Uitt::new();
         uitt.register_at(UittIndex(2), UpidAddr(0x3000), uv(7));
         assert_eq!(uitt.len(), 3);
         assert!(uitt.lookup(UittIndex(0)).is_err());
         assert!(uitt.lookup(UittIndex(1)).is_err());
-        let e = uitt.lookup(UittIndex(2)).unwrap();
-        assert_eq!((e.upid, e.vector), (UpidAddr(0x3000), uv(7)));
+        assert_eq!(uitt.lookup(UittIndex(2)).unwrap(), abi::UittEntry::valid_entry(7, 0x3000));
         // Reuse of a freed slot overwrites in place.
         uitt.invalidate(UittIndex(2)).unwrap();
         uitt.register_at(UittIndex(2), UpidAddr(0x4000), uv(1));
-        assert_eq!(uitt.lookup(UittIndex(2)).unwrap().upid, UpidAddr(0x4000));
+        assert_eq!(uitt.lookup(UittIndex(2)).unwrap().target_upid_addr, 0x4000);
         assert_eq!(uitt.len(), 3, "no growth on reuse");
-    }
-
-    #[test]
-    fn iter_walks_in_index_order() {
-        let mut uitt = Uitt::new();
-        uitt.register(UpidAddr(0x1), uv(0));
-        uitt.register(UpidAddr(0x2), uv(1));
-        let addrs: Vec<_> = uitt.iter().map(|e| e.upid.as_u64()).collect();
-        assert_eq!(addrs, vec![0x1, 0x2]);
     }
 }

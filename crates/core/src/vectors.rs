@@ -13,7 +13,7 @@ use crate::error::XuiError;
 /// Interrupt routing in x86 addresses *cores* by APIC ID (§3.1: "Destinations
 /// are cores (addressed by APICID)"). APIC IDs are assigned at startup and
 /// rarely change; UIPI stores the destination core's APIC ID in the `NDST`
-/// field of the [`Upid`](crate::upid::Upid) so senders can find the core a
+/// field of the [`Upid`](xui_uipi_abi::Upid) so senders can find the core a
 /// thread currently runs on.
 ///
 /// # Examples
@@ -116,7 +116,7 @@ pub const USER_VECTOR_COUNT: u8 = 64;
 /// user interrupts do not compete with the kernel for scarce vectors
 /// (§3.1 limitation (2)). The user vector is what the receiving handler
 /// observes, and it indexes the 64-bit `PIR` field of the
-/// [`Upid`](crate::upid::Upid) as well as the `UIRR` register.
+/// [`Upid`](xui_uipi_abi::Upid) as well as the `UIRR` register.
 ///
 /// Construction is checked: values ≥ 64 are rejected.
 ///

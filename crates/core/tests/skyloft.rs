@@ -7,8 +7,8 @@
 use xui_core::receiver::{notification_processing, ReceiverState};
 use xui_core::sender::{senduipi, MapUpidMemory};
 use xui_core::uitt::{Uitt, UpidAddr};
-use xui_core::upid::Upid;
-use xui_core::vectors::{ApicId, UserVector, Vector};
+use xui_core::vectors::UserVector;
+use xui_uipi_abi::Upid;
 
 const TIMER_UV: u8 = 1;
 
@@ -28,9 +28,9 @@ impl SkyloftThread {
         let mut mem = MapUpidMemory::new();
         let mut descr = Upid::new();
         // "At startup, it sets the SN bit on the UPIDs for all threads."
-        descr.set_sn(true);
-        descr.set_nv(Vector::new(0xec));
-        descr.set_ndst(ApicId::new(0));
+        descr.nc.set_sn(true);
+        descr.nc.nv = 0xec;
+        descr.nc.ndst = 0;
         mem.insert(upid, descr);
         let mut uitt = Uitt::new();
         uitt.register(upid, UserVector::new(TIMER_UV).unwrap());

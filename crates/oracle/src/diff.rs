@@ -113,7 +113,7 @@ fn outcome_of(model: &ProtocolModel, receiver: ThreadId) -> Result<Outcome, Stri
         .iter()
         .map(|v| v.index() as u8)
         .collect();
-    Ok(Outcome { delivered, on: upid.on(), sn: upid.sn(), pir: upid.pir() })
+    Ok(Outcome { delivered, on: upid.nc.on(), sn: upid.nc.sn(), pir: upid.puir })
 }
 
 struct ProtocolReplay {

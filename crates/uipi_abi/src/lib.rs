@@ -2,9 +2,12 @@
 //!
 //! The single bit-accurate definition of the Intel **UIPI** architectural
 //! surface, shared by every model in the workspace: the protocol model
-//! (`xui-core`), the kernel model (`xui-kernel`), the cycle-level
-//! simulator's memory bridge (`xui-sim`), and the executable reference
-//! oracle (`xui-oracle`).
+//! (`xui-core`) stores [`Upid`] and [`UittEntry`] directly, with no view
+//! layer on top; the kernel model (`xui-kernel`) allocates its table
+//! slots here; the cycle-level simulator's memory bridge (`xui-sim`)
+//! derives its bit positions from these layouts; and the executable
+//! reference oracle (`xui-oracle`) packs its flat state into [`Upid`]
+//! images.
 //!
 //! Everything here is laid out exactly as the hardware stores it, so the
 //! differential fuzzer can compare *serialized ABI bytes* between models
@@ -18,7 +21,8 @@
 //! - [`UittEntry`] — the 16-byte User Interrupt Target Table entry
 //!   (valid bit, user vector, target UPID address).
 //! - [`MsrFile`] — the `IA32_UINTR_*` register file (0x985–0x98A) with
-//!   typed read/write and reserved-bit masking.
+//!   typed read/write and reserved-bit masking. No model keeps MSR state
+//!   yet, so this is the layout reference only.
 //! - [`IndexAllocator`] — the deterministic bitmap allocator the kernel
 //!   uses for receiver (UPID pool) and sender (UITT) table slots.
 //!

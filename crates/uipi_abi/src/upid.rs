@@ -165,5 +165,101 @@ mod proptests {
             prop_assert_eq!(u64::from_le_bytes(bytes[0..8].try_into().unwrap()), upid.low_word());
             prop_assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().unwrap()), high);
         }
+
+        /// Writing ON, NV, NDST or PUIR never disturbs the other fields
+        /// (field isolation in the Table 1 layout; SN is
+        /// `nc::proptests::set_sn_touches_only_bit1`).
+        #[test]
+        fn field_isolation(low in any::<u64>(), high in any::<u64>(), on in any::<bool>(),
+                           nv in any::<u8>(), ndst in any::<u32>(), puir in any::<u64>()) {
+            let base = Upid::from_words(low, high);
+
+            let mut u = base;
+            u.nc.set_on(on);
+            prop_assert_eq!(u.low_word() & !1, base.low_word() & !1);
+            prop_assert_eq!(u.puir, base.puir);
+            prop_assert_eq!(u.nc.on(), on);
+
+            let mut u = base;
+            u.nc.nv = nv;
+            prop_assert_eq!(u.low_word() & !(0xff << 16), base.low_word() & !(0xff << 16));
+            prop_assert_eq!(u.puir, base.puir);
+            prop_assert_eq!((u.low_word() >> 16) & 0xff, u64::from(nv));
+
+            let mut u = base;
+            u.nc.ndst = ndst;
+            prop_assert_eq!(u.low_word() as u32, base.low_word() as u32);
+            prop_assert_eq!(u.puir, base.puir);
+            prop_assert_eq!(u.low_word() >> 32, u64::from(ndst));
+
+            let mut u = base;
+            u.puir = puir;
+            prop_assert_eq!(u.low_word(), base.low_word());
+            prop_assert_eq!(u.high_word(), puir);
+        }
+
+        /// Posting vectors accumulates exactly the posted set, and
+        /// draining returns it (no interrupt lost or invented at the
+        /// descriptor level).
+        #[test]
+        fn post_then_drain_is_lossless(vectors in proptest::collection::vec(0u8..64, 0..32)) {
+            let mut upid = Upid::new();
+            let mut expected = 0u64;
+            for uv in vectors {
+                upid.post(uv);
+                expected |= 1 << uv;
+            }
+            prop_assert_eq!(upid.puir, expected);
+            prop_assert_eq!(upid.take_puir(), expected);
+            prop_assert_eq!(upid.puir, 0);
+        }
+
+        /// Arbitrary interleavings of sender posts, kernel suspends (SN
+        /// set on context-switch-out) and resumes (SN cleared, then
+        /// notification processing drains PUIR) never lose a pending
+        /// vector: at every step PUIR equals exactly the model's
+        /// posted-but-undrained set, and each drain hands the receiver
+        /// that whole set.
+        #[test]
+        fn post_suspend_resume_interleavings_never_lose_a_vector(
+            ops in proptest::collection::vec((0u8..4, 0u8..64), 1..48),
+        ) {
+            let mut upid = Upid::new();
+            let mut pending = 0u64; // model: posted, not yet drained
+            let mut delivered = 0u64;
+            let mut posted = 0u64;
+            for (op, uv) in ops {
+                let bit = 1u64 << uv;
+                match op {
+                    // Sender posts: legal whether or not SN is set (the
+                    // PUIR RMW happens regardless; SN only suppresses the
+                    // notification IPI).
+                    0 | 1 => {
+                        let novel = upid.post(uv);
+                        prop_assert_eq!(novel, pending & bit == 0,
+                            "novelty must reflect the pending set");
+                        pending |= bit;
+                        posted |= bit;
+                    }
+                    // Kernel suspends: the SN race window. Flipping SN
+                    // must not clobber concurrent posts.
+                    2 => upid.nc.set_sn(true),
+                    // Resume: clear SN, notification processing drains.
+                    _ => {
+                        upid.nc.set_sn(false);
+                        let drained = upid.take_puir();
+                        prop_assert_eq!(drained, pending,
+                            "drain returns exactly the pending set");
+                        delivered |= drained;
+                        pending = 0;
+                    }
+                }
+                prop_assert_eq!(upid.puir, pending, "PUIR tracks the model set");
+            }
+            let final_drain = upid.take_puir();
+            prop_assert_eq!(final_drain, pending);
+            prop_assert_eq!(delivered | final_drain, posted,
+                "every posted vector is delivered by some drain, none lost");
+        }
     }
 }
