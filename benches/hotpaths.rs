@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: DIR-24-8
 //! LPM build and lookup, one Figure 7 server point, the discrete-event
 //! engine, the latency histogram, the out-of-order pipeline model on a
-//! tiny loop, on a ROB-filling matmul and on a miss-bound pointer chase,
-//! and the oracle differ.
+//! tiny loop, on a ROB-filling matmul, on a miss-bound pointer chase
+//! and on the oracle's spinning sim-replay receiver, and the oracle
+//! differ.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -165,6 +166,53 @@ fn bench_pipeline_pointer_chase(c: &mut Criterion) {
     });
 }
 
+fn bench_pipeline_spin_replay(c: &mut Criterion) {
+    // The oracle differ's sim-replay receiver (`xui_oracle::check` on a
+    // sim-compatible schedule): a dependent `sub`/`bnez` spin that keeps
+    // the ROB full, one one-shot `UipiTimer` device posting into its
+    // UPID mid-spin, tracing on. Each call builds a fresh `System`, as
+    // every replay does.
+    let spin = 65_000;
+    let receiver = Program::new(
+        "oracle-spin",
+        vec![
+            Inst::new(Op::Li { dst: Reg(1), imm: spin }),
+            Inst::new(Op::Alu {
+                kind: AluKind::Sub,
+                dst: Reg(1),
+                src: Reg(1),
+                op2: Operand::Imm(1),
+            }),
+            Inst::new(Op::Bnez { src: Reg(1), target: 1 }),
+            Inst::new(Op::Halt),
+            Inst::new(Op::Alu {
+                kind: AluKind::Add,
+                dst: Reg(20),
+                src: Reg(20),
+                op2: Operand::Imm(1),
+            }),
+            Inst::new(Op::Uiret),
+        ],
+    );
+    c.bench_function("cycle_sim_spin_replay", |b| {
+        b.iter(|| {
+            let mut sys = System::new(SystemConfig::uipi(), vec![receiver.clone()]);
+            sys.register_receiver(0, 4);
+            sys.cores[0].trace_enabled = true;
+            let upid_addr = sys.cores[0].upid_addr;
+            sys.add_device(Device::UipiTimer {
+                period: 1 << 40,
+                next_fire: 15_000,
+                upid_addr,
+                user_vector: 3,
+                send_latency: 140,
+            });
+            sys.run_until_halted(spin * 8);
+            black_box(sys.cores[0].reg(Reg(20)))
+        })
+    });
+}
+
 fn bench_protocol_send_deliver(c: &mut Criterion) {
     let mut sys = ProtocolModel::new(2);
     let sender = sys.create_thread();
@@ -266,7 +314,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
               bench_event_engine_churn, bench_histogram, bench_pipeline, bench_pipeline_full_rob,
-              bench_pipeline_pointer_chase,
+              bench_pipeline_pointer_chase, bench_pipeline_spin_replay,
               bench_protocol_send_deliver, bench_oracle_check, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }

@@ -14,7 +14,8 @@
 //! until then every tick is a no-op, so [`crate::System`] jumps its clock
 //! over those cycles instead of ticking them.
 
-use std::collections::VecDeque;
+use std::fmt;
+use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
@@ -26,9 +27,10 @@ use crate::microcode::{MicroOp, Msrom, Routine};
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Functional-unit classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fu {
     /// Integer ALU.
+    #[default]
     Int,
     /// Integer multiplier.
     Mult,
@@ -40,56 +42,81 @@ pub enum Fu {
     Store,
 }
 
-/// Internal µop kinds (post-decode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Internal µop kinds (post-decode). A kind's wide operand — an
+/// immediate, an address offset, a target or return PC, a UITT index —
+/// lives in [`Uop::imm`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Kind {
+    #[default]
     Int,
-    Alu { kind: AluKind, imm: Option<i64> },
-    Li { imm: u64 },
-    Load { offset: i64 },
-    Store { offset: i64, data_imm: Option<u64> },
-    Branch { on_zero: bool, target: Pc, fall: Pc, predicted: bool },
+    /// `dst = src op b`, `b` the immediate if `imm`, else the second source.
+    Alu { kind: AluKind, imm: bool },
+    /// `dst = imm`.
+    Li,
+    /// Loads the word at `src + imm`.
+    Load,
+    /// Stores the second source to `src + imm`.
+    Store,
+    /// Microcode push of the interrupted PC (`imm`) to `SP + PUSH_PC_OFFSET`.
+    PushPcU,
+    /// Conditional branch to `imm`, falling through to `pc + 1`.
+    Branch { on_zero: bool, predicted: bool },
     Testui,
     CluiU,
     StuiU,
-    SetTimerU { cycles: u64, periodic: bool },
+    /// Arms the KB_Timer for `imm` cycles.
+    SetTimerU { periodic: bool },
     ClearTimerU,
     SendUipiMarker,
-    UittLoadU { index: usize },
-    UpidPostU { index: usize },
+    /// Reads UITT entry `imm`.
+    UittLoadU,
+    /// Posts through UITT entry `imm`.
+    UpidPostU,
     IcrWriteU,
     UpidDrainU,
     DeliverTakeU,
     DeliverCluiU,
-    JumpHandlerU { return_pc: Pc },
+    /// Enters the handler; the interrupted PC (`imm`) is pushed as its
+    /// frame at commit.
+    JumpHandlerU,
     UiretU,
     HaltU,
 }
 
+/// Where delivery's PushPc stores the interrupted PC, below SP.
+const PUSH_PC_OFFSET: i64 = -16;
+
 /// A decoded µop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Uop {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Uop {
     kind: Kind,
+    fu: Fu,
     srcs: [Option<Reg>; 2],
     dst: Option<Reg>,
-    fu: Fu,
-    latency: u64,
-    /// Serializing MSR write: modeled through the micro chain plus its
-    /// long latency (the whole pipeline is paused while microcode runs).
-    serializing: bool,
     from_interrupt: bool,
     is_program: bool,
     /// True for MSROM-sourced µops: microcode is sequenced serially, so
     /// each such µop implicitly depends on the previous one.
     micro: bool,
-    pc: Pc,
+    latency: u32,
+    pc: u32,
+    /// The kind's wide operand (see [`Kind`]).
+    imm: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+impl Uop {
+    fn pc(self) -> Pc {
+        self.pc as Pc
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum EntryState {
     Waiting,
     Ready,
-    Executing { done_at: u64 },
+    /// In the in-flight list, which holds its completion cycle.
+    Executing,
+    #[default]
     Done,
 }
 
@@ -112,11 +139,22 @@ impl Waiter {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+impl Default for Waiter {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
+/// A dependence slot that waits on nothing.
+const NO_DEP: u64 = u64::MAX;
+
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RobEntry {
     seq: u64,
     uop: Uop,
-    deps: [Option<u64>; 3],
+    /// The producer each dependence slot waits on (two sources, then the
+    /// previous microcode µop), or [`NO_DEP`].
+    deps: [u64; 3],
     src_vals: [u64; 2],
     deps_remaining: u8,
     state: EntryState,
@@ -128,36 +166,171 @@ struct RobEntry {
     next_waiter: [Waiter; 3],
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+impl RobEntry {
+    /// A store's address and the data it writes (valid once its
+    /// sources are in); `None` for any other µop.
+    fn store(&self) -> Option<(u64, u64)> {
+        let (offset, data) = match self.uop.kind {
+            Kind::Store => (self.uop.imm as i64, self.src_vals[1]),
+            Kind::PushPcU => (PUSH_PC_OFFSET, self.uop.imm),
+            _ => return None,
+        };
+        Some((self.src_vals[0].wrapping_add_signed(offset), data))
+    }
+
+    /// A branch's direction and the PC it leads to (valid once its
+    /// condition is in).
+    fn branch_outcome(&self) -> (bool, Pc) {
+        let on_zero = matches!(self.uop.kind, Kind::Branch { on_zero: true, .. });
+        let taken = (self.src_vals[0] == 0) == on_zero;
+        (taken, if taken { self.uop.imm as Pc } else { self.uop.pc() + 1 })
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Fetched {
     uop: Uop,
     ready_at: u64,
 }
 
-/// A set of in-ROB sequence numbers, one bit per ROB slot (`seq %
-/// slots`). The ROB holds at most `rob_size` consecutive sequence
-/// numbers, so no two live µops share a slot, and a circular scan from
-/// a live µop's slot meets the younger members in age order.
+/// The slot count of a ring or set holding up to `capacity` elements: a
+/// power of two, so a position maps to its slot with a mask, and at
+/// least one 64-bit word of [`SeqSet`] bits.
+fn slot_count(capacity: usize) -> usize {
+    capacity.next_power_of_two().max(64)
+}
+
+/// A fixed ring addressed by absolute position: the live elements are
+/// the positions `head..tail`, and position `p` sits in slot `p & mask`.
+/// The ROB's positions are its µops' sequence numbers. Slots outside the
+/// live window hold stale elements, which equality and `Debug` ignore.
+#[derive(Clone)]
+struct Ring<T> {
+    slots: Vec<T>,
+    mask: u64,
+    head: u64,
+    tail: u64,
+}
+
+impl<T: Copy + Default> Ring<T> {
+    fn new(capacity: usize) -> Self {
+        let slots = slot_count(capacity);
+        Self {
+            slots: vec![T::default(); slots],
+            mask: slots as u64 - 1,
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        (self.tail - self.head) as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    fn get(&self, pos: u64) -> Option<&T> {
+        (self.head..self.tail).contains(&pos).then(|| &self.slots[(pos & self.mask) as usize])
+    }
+
+    fn front(&self) -> Option<&T> {
+        self.get(self.head)
+    }
+
+    fn back(&self) -> Option<&T> {
+        self.tail.checked_sub(1).and_then(|pos| self.get(pos))
+    }
+
+    /// Writes `value` at the tail, in its slot, and returns its position.
+    fn push_back(&mut self, value: T) -> u64 {
+        assert!(self.len() < self.slots.len(), "ring overflow");
+        let pos = self.tail;
+        self.slots[(pos & self.mask) as usize] = value;
+        self.tail += 1;
+        pos
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let value = *self.front()?;
+        self.head += 1;
+        Some(value)
+    }
+
+    fn pop_back(&mut self) -> Option<T> {
+        let value = *self.back()?;
+        self.tail -= 1;
+        Some(value)
+    }
+
+    fn clear(&mut self) {
+        self.head = self.tail;
+    }
+
+    /// The live elements, oldest first.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + '_ {
+        (self.head..self.tail).map(move |pos| &self.slots[(pos & self.mask) as usize])
+    }
+}
+
+impl<T> Index<u64> for Ring<T> {
+    type Output = T;
+
+    fn index(&self, pos: u64) -> &T {
+        debug_assert!((self.head..self.tail).contains(&pos), "position {pos} not live");
+        &self.slots[(pos & self.mask) as usize]
+    }
+}
+
+impl<T> IndexMut<u64> for Ring<T> {
+    fn index_mut(&mut self, pos: u64) -> &mut T {
+        debug_assert!((self.head..self.tail).contains(&pos), "position {pos} not live");
+        &mut self.slots[(pos & self.mask) as usize]
+    }
+}
+
+impl<T: Copy + Default + PartialEq> PartialEq for Ring<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.tail == other.tail && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Copy + Default + fmt::Debug> fmt::Debug for Ring<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ring")
+            .field("head", &self.head)
+            .field("live", &self.iter().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// A set of in-ROB sequence numbers, one bit per ROB slot (`seq &
+/// mask`, the ROB ring's slots). The ROB holds at most `rob_size <=
+/// slots` consecutive sequence numbers, so no two live µops share a
+/// slot, and a circular scan from a live µop's slot meets the younger
+/// members in age order.
 #[derive(Debug, Clone, PartialEq)]
 struct SeqSet {
     words: Vec<u64>,
+    mask: u64,
     len: usize,
 }
 
 impl SeqSet {
-    fn new(rob_size: usize) -> Self {
+    /// An empty set over `slots` slots, a power of two and a multiple of
+    /// 64 (see [`slot_count`]).
+    fn new(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two() && slots >= 64);
         Self {
-            words: vec![0; rob_size.div_ceil(64).max(1)],
+            words: vec![0; slots / 64],
+            mask: slots as u64 - 1,
             len: 0,
         }
     }
 
-    fn slots(&self) -> u64 {
-        self.words.len() as u64 * 64
-    }
-
     fn bit(&self, seq: u64) -> (usize, u64) {
-        let slot = seq % self.slots();
+        let slot = seq & self.mask;
         ((slot / 64) as usize, 1 << (slot % 64))
     }
 
@@ -188,8 +361,7 @@ impl SeqSet {
             return None;
         }
         let span = end - from;
-        let slots = self.slots();
-        let start = from % slots;
+        let start = from & self.mask;
         let mut w = (start / 64) as usize;
         let mut bits = self.words[w] & (!0u64 << (start % 64));
         // Each later word starts 64 slots further from `start`; stop once
@@ -200,7 +372,7 @@ impl SeqSet {
         loop {
             if bits != 0 {
                 let slot = w as u64 * 64 + u64::from(bits.trailing_zeros());
-                let seq = from + (slot + slots - start) % slots;
+                let seq = from + (slot.wrapping_sub(start) & self.mask);
                 return (seq < end).then_some(seq);
             }
             if word_start >= span {
@@ -314,7 +486,7 @@ pub struct Core {
     fetch_pc: Pc,
     fetch_enabled: bool,
     fetch_stall_until: u64,
-    fetch_buffer: VecDeque<Fetched>,
+    fetch_buffer: Ring<Fetched>,
     predictor: BranchPredictor,
     msrom_return: Pc,
     msrom_arg: usize,
@@ -326,9 +498,9 @@ pub struct Core {
     pub safepoint_mode: bool,
 
     // ---- backend ----
-    rob: VecDeque<RobEntry>,
-    head_seq: u64,
-    next_seq: u64,
+    /// The ROB: a ring over sequence numbers, `rob.head` the oldest
+    /// µop's and `rob.tail` the next to dispatch.
+    rob: Ring<RobEntry>,
     // Scheduler state, kept in step with the ROB where entries change
     // state (dispatch, issue, complete, squash) so no stage rescans it.
     /// Entries in `Ready`.
@@ -343,7 +515,7 @@ pub struct Core {
     live_irq_micro: usize,
     /// Sequence numbers of the ROB's stores, oldest first: the store
     /// queue.
-    stores: VecDeque<u64>,
+    stores: Ring<u64>,
     /// Scratch buffer for one cycle's completions.
     due: Vec<u64>,
     rename: [Option<u64>; REG_COUNT],
@@ -405,7 +577,10 @@ impl Core {
     ) -> Self {
         let mut regs = [0u64; REG_COUNT];
         regs[Reg::SP.index()] = 0x0100_0000 + (id as u64) * 0x1_0000;
-        let rob_size = cfg.rob_size;
+        let rob = Ring::new(cfg.rob_size);
+        let slots = rob.slots.len();
+        let fetch_buffer = Ring::new(cfg.fetch_queue_size);
+        let stores = Ring::new(cfg.sq_size);
         Self {
             id,
             cfg,
@@ -415,7 +590,7 @@ impl Core {
             fetch_pc: 0,
             fetch_enabled: true,
             fetch_stall_until: 0,
-            fetch_buffer: VecDeque::new(),
+            fetch_buffer,
             predictor: BranchPredictor::new(),
             msrom_return: 0,
             msrom_arg: 0,
@@ -424,15 +599,13 @@ impl Core {
             irq_return_pc: 0,
             frame_stack_spec: Vec::new(),
             safepoint_mode: false,
-            rob: VecDeque::new(),
-            head_seq: 0,
-            next_seq: 0,
-            ready: SeqSet::new(rob_size),
+            stores,
+            rob,
+            ready: SeqSet::new(slots),
             in_flight: Vec::new(),
-            unresolved_branches: SeqSet::new(rob_size),
-            live_micro: SeqSet::new(rob_size),
+            unresolved_branches: SeqSet::new(slots),
+            live_micro: SeqSet::new(slots),
             live_irq_micro: 0,
-            stores: VecDeque::new(),
             due: Vec::new(),
             rename: [None; REG_COUNT],
             regs,
@@ -541,18 +714,6 @@ impl Core {
         }
     }
 
-    fn entry_index(&self, seq: u64) -> Option<usize> {
-        if seq < self.head_seq {
-            return None;
-        }
-        let idx = (seq - self.head_seq) as usize;
-        if idx < self.rob.len() {
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
     // ------------------------------------------------------------------
     // Decode
     // ------------------------------------------------------------------
@@ -560,16 +721,25 @@ impl Core {
     fn uop_common(kind: Kind, fu: Fu, latency: u64, pc: Pc) -> Uop {
         Uop {
             kind,
-            srcs: [None, None],
-            dst: None,
             fu,
-            latency,
-            serializing: false,
-            from_interrupt: false,
-            is_program: false,
-            micro: false,
-            pc,
+            latency: u32::try_from(latency).expect("µop latency fits in 32 bits"),
+            pc: u32::try_from(pc).expect("PC fits in 32 bits"),
+            ..Uop::default()
         }
+    }
+
+    /// `dst = src op op2` on unit `fu`, taking `latency` cycles.
+    fn alu_uop(op: (AluKind, Fu, u64), pc: Pc, dst: Reg, src: Reg, op2: Operand) -> Uop {
+        let (kind, fu, latency) = op;
+        let (imm, src2) = match op2 {
+            Operand::Imm(i) => (Some(i as u64), None),
+            Operand::Reg(r) => (None, Some(r)),
+        };
+        let mut u = Self::uop_common(Kind::Alu { kind, imm: imm.is_some() }, fu, latency, pc);
+        u.imm = imm.unwrap_or(0);
+        u.srcs = [Some(src), src2];
+        u.dst = Some(dst);
+        u
     }
 
     /// Decodes one program instruction into a µop and computes the next
@@ -580,59 +750,38 @@ impl Core {
         let uop = match inst.op {
             Op::Nop => Some(Self::uop_common(Kind::Int, Fu::Int, 1, pc)),
             Op::Alu { kind, dst, src, op2 } => {
-                let (imm, src2) = match op2 {
-                    Operand::Imm(i) => (Some(i), None),
-                    Operand::Reg(r) => (None, Some(r)),
-                };
-                let mut u = Self::uop_common(Kind::Alu { kind, imm }, Fu::Int, 1, pc);
-                u.srcs = [Some(src), src2];
-                u.dst = Some(dst);
-                Some(u)
+                Some(Self::alu_uop((kind, Fu::Int, 1), pc, dst, src, op2))
             }
             Op::Li { dst, imm } => {
-                let mut u = Self::uop_common(Kind::Li { imm }, Fu::Int, 1, pc);
+                let mut u = Self::uop_common(Kind::Li, Fu::Int, 1, pc);
+                u.imm = imm;
                 u.dst = Some(dst);
                 Some(u)
             }
-            Op::Mul { dst, src, op2 } => {
-                let (imm, src2) = match op2 {
-                    Operand::Imm(i) => (Some(i), None),
-                    Operand::Reg(r) => (None, Some(r)),
-                };
-                let mut u = Self::uop_common(
-                    Kind::Alu { kind: AluKind::Add, imm },
-                    Fu::Mult,
-                    self.cfg.mult_latency,
-                    pc,
-                );
-                u.srcs = [Some(src), src2];
-                u.dst = Some(dst);
-                Some(u)
-            }
-            Op::Fp { dst, src, op2 } => {
-                let (imm, src2) = match op2 {
-                    Operand::Imm(i) => (Some(i), None),
-                    Operand::Reg(r) => (None, Some(r)),
-                };
-                let mut u = Self::uop_common(
-                    Kind::Alu { kind: AluKind::Add, imm },
-                    Fu::Fp,
-                    self.cfg.fp_latency,
-                    pc,
-                );
-                u.srcs = [Some(src), src2];
-                u.dst = Some(dst);
-                Some(u)
-            }
+            Op::Mul { dst, src, op2 } => Some(Self::alu_uop(
+                (AluKind::Add, Fu::Mult, self.cfg.mult_latency),
+                pc,
+                dst,
+                src,
+                op2,
+            )),
+            Op::Fp { dst, src, op2 } => Some(Self::alu_uop(
+                (AluKind::Add, Fu::Fp, self.cfg.fp_latency),
+                pc,
+                dst,
+                src,
+                op2,
+            )),
             Op::Load { dst, base, offset } => {
-                let mut u = Self::uop_common(Kind::Load { offset }, Fu::Load, 0, pc);
+                let mut u = Self::uop_common(Kind::Load, Fu::Load, 0, pc);
+                u.imm = offset as u64;
                 u.srcs = [Some(base), None];
                 u.dst = Some(dst);
                 Some(u)
             }
             Op::Store { src, base, offset } => {
-                let mut u =
-                    Self::uop_common(Kind::Store { offset, data_imm: None }, Fu::Store, 1, pc);
+                let mut u = Self::uop_common(Kind::Store, Fu::Store, 1, pc);
+                u.imm = offset as u64;
                 u.srcs = [Some(base), Some(src)];
                 Some(u)
             }
@@ -640,17 +789,8 @@ impl Core {
                 let on_zero = matches!(inst.op, Op::Beqz { .. });
                 let predicted = self.predictor.predict(pc);
                 next = if predicted { target } else { pc + 1 };
-                let mut u = Self::uop_common(
-                    Kind::Branch {
-                        on_zero,
-                        target,
-                        fall: pc + 1,
-                        predicted,
-                    },
-                    Fu::Int,
-                    1,
-                    pc,
-                );
+                let mut u = Self::uop_common(Kind::Branch { on_zero, predicted }, Fu::Int, 1, pc);
+                u.imm = target as u64;
                 u.srcs = [Some(src), None];
                 Some(u)
             }
@@ -687,15 +827,12 @@ impl Core {
                 u.dst = Some(dst);
                 Some(u)
             }
-            Op::SetTimer { cycles, mode } => Some(Self::uop_common(
-                Kind::SetTimerU {
-                    cycles,
-                    periodic: matches!(mode, SetTimerMode::Periodic),
-                },
-                Fu::Int,
-                4,
-                pc,
-            )),
+            Op::SetTimer { cycles, mode } => {
+                let periodic = matches!(mode, SetTimerMode::Periodic);
+                let mut u = Self::uop_common(Kind::SetTimerU { periodic }, Fu::Int, 4, pc);
+                u.imm = cycles;
+                Some(u)
+            }
             Op::ClearTimer => Some(Self::uop_common(Kind::ClearTimerU, Fu::Int, 4, pc)),
             Op::Halt => {
                 self.fetch_enabled = false;
@@ -710,42 +847,27 @@ impl Core {
     }
 
     /// Decodes one MSROM µop; returns `None` for pure sequencer
-    /// redirects.
+    /// redirects. The serializing MSR writes (UpidPost, IcrWrite) need
+    /// no flag of their own: the micro chain plus their long latency
+    /// pause the whole pipeline while microcode runs.
     fn decode_msrom(&mut self, mop: MicroOp, pc: Pc, from_interrupt: bool) -> Option<Uop> {
         let mut next = pc + 1;
         let uop = match mop {
-            MicroOp::Seq { latency } => {
+            MicroOp::Seq { latency } | MicroOp::MsrAccess { latency } => {
                 Some(Self::uop_common(Kind::Int, Fu::Int, u64::from(latency), pc))
             }
-            MicroOp::MsrAccess { latency } => {
-                Some(Self::uop_common(Kind::Int, Fu::Int, u64::from(latency), pc))
+            MicroOp::UittLoad | MicroOp::UpidPost => {
+                let kind = if mop == MicroOp::UittLoad { Kind::UittLoadU } else { Kind::UpidPostU };
+                let mut u = Self::uop_common(kind, Fu::Load, 0, pc);
+                u.imm = self.msrom_arg as u64;
+                Some(u)
             }
-            MicroOp::UittLoad => Some(Self::uop_common(
-                Kind::UittLoadU { index: self.msrom_arg },
-                Fu::Load,
-                0,
+            MicroOp::IcrWrite => Some(Self::uop_common(
+                Kind::IcrWriteU,
+                Fu::Int,
+                self.cfg.msr_write_latency,
                 pc,
             )),
-            MicroOp::UpidPost => {
-                let mut u = Self::uop_common(
-                    Kind::UpidPostU { index: self.msrom_arg },
-                    Fu::Load,
-                    0,
-                    pc,
-                );
-                u.serializing = true;
-                Some(u)
-            }
-            MicroOp::IcrWrite => {
-                let mut u = Self::uop_common(
-                    Kind::IcrWriteU,
-                    Fu::Int,
-                    self.cfg.msr_write_latency,
-                    pc,
-                );
-                u.serializing = true;
-                Some(u)
-            }
             MicroOp::UpidDrain => {
                 let mut u = Self::uop_common(Kind::UpidDrainU, Fu::Load, 0, pc);
                 u.dst = Some(Reg::UT0);
@@ -758,27 +880,20 @@ impl Core {
                 Some(u)
             }
             MicroOp::PushSp => {
-                let mut u =
-                    Self::uop_common(Kind::Store { offset: -8, data_imm: None }, Fu::Store, 1, pc);
+                let mut u = Self::uop_common(Kind::Store, Fu::Store, 1, pc);
+                u.imm = -8i64 as u64;
                 u.srcs = [Some(Reg::SP), Some(Reg::SP)];
                 Some(u)
             }
             MicroOp::PushPc => {
-                let mut u = Self::uop_common(
-                    Kind::Store {
-                        offset: -16,
-                        data_imm: Some(self.irq_return_pc as u64),
-                    },
-                    Fu::Store,
-                    1,
-                    pc,
-                );
+                let mut u = Self::uop_common(Kind::PushPcU, Fu::Store, 1, pc);
+                u.imm = self.irq_return_pc as u64;
                 u.srcs = [Some(Reg::SP), None];
                 Some(u)
             }
             MicroOp::PushVec => {
-                let mut u =
-                    Self::uop_common(Kind::Store { offset: -24, data_imm: None }, Fu::Store, 1, pc);
+                let mut u = Self::uop_common(Kind::Store, Fu::Store, 1, pc);
+                u.imm = -24i64 as u64;
                 u.srcs = [Some(Reg::SP), Some(Reg::UT1)];
                 Some(u)
             }
@@ -786,14 +901,9 @@ impl Core {
             MicroOp::JumpHandler => {
                 next = self.handler_pc;
                 self.msrom_wait = true;
-                Some(Self::uop_common(
-                    Kind::JumpHandlerU {
-                        return_pc: self.irq_return_pc,
-                    },
-                    Fu::Int,
-                    1,
-                    pc,
-                ))
+                let mut u = Self::uop_common(Kind::JumpHandlerU, Fu::Int, 1, pc);
+                u.imm = self.irq_return_pc as u64;
+                Some(u)
             }
             MicroOp::MsromRet => {
                 next = self.msrom_return;
@@ -904,8 +1014,9 @@ impl Core {
                     // heads the wake-up list of each producer it waits
                     // on; undo dispatch's links in reverse order.
                     for s in (0..3).rev() {
-                        if let Some(prod) = entry.deps[s] {
-                            let p = &mut self.rob[(prod - self.head_seq) as usize];
+                        let prod = entry.deps[s];
+                        if prod != NO_DEP {
+                            let p = &mut self.rob[prod];
                             debug_assert!(
                                 p.waiters == Waiter::new(entry.seq, s),
                                 "squashed consumer heads its list"
@@ -918,7 +1029,7 @@ impl Core {
                     self.iq_count -= 1;
                     self.ready.remove(entry.seq);
                 }
-                EntryState::Executing { .. } => {
+                EntryState::Executing => {
                     let pos = self
                         .in_flight
                         .iter()
@@ -939,19 +1050,18 @@ impl Core {
                 _ => {}
             }
             self.stats.squashed_uops += 1;
-            self.next_seq = entry.seq;
         }
     }
 
     fn rebuild_rename(&mut self) {
         self.rename = [None; REG_COUNT];
         self.last_micro_seq = None;
-        for i in 0..self.rob.len() {
-            if let Some(dst) = self.rob[i].uop.dst {
-                self.rename[dst.index()] = Some(self.rob[i].seq);
+        for e in self.rob.iter() {
+            if let Some(dst) = e.uop.dst {
+                self.rename[dst.index()] = Some(e.seq);
             }
-            if self.rob[i].uop.micro {
-                self.last_micro_seq = Some(self.rob[i].seq);
+            if e.uop.micro {
+                self.last_micro_seq = Some(e.seq);
             }
         }
     }
@@ -1078,8 +1188,8 @@ impl Core {
         if self.msrom_wait {
             let chain_busy = self
                 .last_micro_seq
-                .and_then(|seq| self.entry_index(seq))
-                .is_some_and(|idx| !matches!(self.rob[idx].state, EntryState::Done))
+                .and_then(|seq| self.rob.get(seq))
+                .is_some_and(|e| !matches!(e.state, EntryState::Done))
                 || self
                     .fetch_buffer
                     .iter()
@@ -1177,8 +1287,7 @@ impl Core {
         // branch predictor trains in program order.
         due.sort_unstable();
         for &seq in &due {
-            let idx = self.entry_index(seq).expect("completed entry in ROB");
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob[seq];
             e.state = EntryState::Done;
             let (uop, result) = (e.uop, e.result);
             let mut waiter = std::mem::replace(&mut e.waiters, Waiter::NONE);
@@ -1186,10 +1295,10 @@ impl Core {
             // Branch resolution happens at completion.
             self.resolve_branch_if_any(seq, now);
             while let Some((dep_seq, s)) = waiter.get() {
-                let d = &mut self.rob[(dep_seq - self.head_seq) as usize];
-                debug_assert_eq!(d.deps[s], Some(seq), "wake-up list link");
+                let d = &mut self.rob[dep_seq];
+                debug_assert_eq!(d.deps[s], seq, "wake-up list link");
                 waiter = d.next_waiter[s];
-                d.deps[s] = None;
+                d.deps[s] = NO_DEP;
                 if s < 2 {
                     d.src_vals[s] = result;
                 }
@@ -1221,7 +1330,7 @@ impl Core {
     }
 
     fn oldest_unresolved_branch(&self) -> Option<u64> {
-        self.unresolved_branches.first_in(self.head_seq, self.next_seq)
+        self.unresolved_branches.first_in(self.rob.head, self.rob.tail)
     }
 
     /// True while microcode owns the pipeline: some live microcode µop
@@ -1230,7 +1339,7 @@ impl Core {
         self.live_irq_micro > 0
             || self
                 .live_micro
-                .first_in(self.head_seq, self.next_seq)
+                .first_in(self.rob.head, self.rob.tail)
                 .is_some_and(|m| oldest_unresolved_branch.is_none_or(|b| m < b))
     }
 
@@ -1239,40 +1348,25 @@ impl Core {
     /// has not completed (the load forwards from it once it has).
     fn load_blocked(&self, seq: u64, word: u64) -> bool {
         self.stores.iter().take_while(|&&s| s < seq).any(|&s| {
-            let e = &self.rob[(s - self.head_seq) as usize];
+            let e = &self.rob[s];
             if matches!(e.state, EntryState::Done) {
                 return false;
             }
-            let Kind::Store { offset: soff, .. } = e.uop.kind else {
-                return false;
-            };
-            if e.deps[0].is_some() {
+            if e.deps[0] != NO_DEP {
                 return true; // address unknown: conservative
             }
-            e.src_vals[0].wrapping_add_signed(soff) & !7 == word
+            e.store().is_some_and(|(addr, _)| addr & !7 == word)
         })
     }
 
     fn resolve_branch_if_any(&mut self, seq: u64, now: u64) {
-        let Some(idx) = self.entry_index(seq) else {
+        let e = &self.rob[seq];
+        let Kind::Branch { predicted, .. } = e.uop.kind else {
             return;
         };
-        let e = &self.rob[idx];
-        let Kind::Branch {
-            on_zero,
-            target,
-            fall,
-            predicted,
-        } = e.uop.kind
-        else {
-            return;
-        };
-        let cond_val = e.src_vals[0];
-        let taken = if on_zero { cond_val == 0 } else { cond_val != 0 };
-        let pc = e.uop.pc;
-        self.predictor.resolve(pc, taken, predicted);
+        let (taken, redirect) = e.branch_outcome();
+        self.predictor.resolve(e.uop.pc(), taken, predicted);
         if taken != predicted {
-            let redirect = if taken { target } else { fall };
             let replace = match self.recovery {
                 None => true,
                 Some(r) => seq < r.branch_seq,
@@ -1319,16 +1413,15 @@ impl Core {
         // Oldest first over the Ready entries only: an entry is never
         // Waiting with no dependences left (dispatch and complete both
         // promote it), so these are all the µops that could issue.
-        let mut cursor = self.head_seq;
+        let mut cursor = self.rob.head;
         let mut unvisited = self.ready.len();
         while budget > 0 && unvisited > 0 {
-            let Some(seq) = self.ready.first_in(cursor, self.next_seq) else {
+            let Some(seq) = self.ready.first_in(cursor, self.rob.tail) else {
                 break;
             };
             cursor = seq + 1;
             unvisited -= 1;
-            let idx = (seq - self.head_seq) as usize;
-            let uop = self.rob[idx].uop;
+            let uop = self.rob[seq].uop;
             if micro_engaged && !uop.micro {
                 if issued_any || breaker_budget == 0 {
                     continue;
@@ -1351,18 +1444,18 @@ impl Core {
             // Memory disambiguation: a load may not issue past an older
             // store whose address is unknown, or one to the same word
             // whose data is not yet ready (it will forward once Done).
-            if let Kind::Load { offset } = uop.kind {
-                let word = self.rob[idx].src_vals[0].wrapping_add_signed(offset) & !7;
+            if uop.kind == Kind::Load {
+                let word = self.rob[seq].src_vals[0].wrapping_add_signed(uop.imm as i64) & !7;
                 if self.load_blocked(seq, word) {
                     continue;
                 }
             }
             // Issue it.
-            let (latency, result) = self.execute_uop(idx, now, mem);
+            let (latency, result) = self.execute_uop(seq, now, mem);
             let done_at = now + latency.max(1);
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob[seq];
             e.result = result;
-            e.state = EntryState::Executing { done_at };
+            e.state = EntryState::Executing;
             self.ready.remove(seq);
             self.in_flight.push((done_at, seq));
             self.iq_count -= 1;
@@ -1381,61 +1474,52 @@ impl Core {
 
     /// Computes a µop's latency and result, applying execute-time side
     /// effects (memory reads, UPID RMWs, ICR writes).
-    fn execute_uop(&mut self, idx: usize, now: u64, mem: &mut MemorySystem) -> (u64, u64) {
-        let uop = self.rob[idx].uop;
-        let sv = self.rob[idx].src_vals;
+    fn execute_uop(&mut self, seq: u64, now: u64, mem: &mut MemorySystem) -> (u64, u64) {
+        let RobEntry { uop, src_vals: sv, .. } = self.rob[seq];
+        let latency = u64::from(uop.latency);
         match uop.kind {
             Kind::Int | Kind::SendUipiMarker | Kind::HaltU | Kind::CluiU | Kind::StuiU
             | Kind::DeliverCluiU | Kind::SetTimerU { .. } | Kind::ClearTimerU
-            | Kind::UiretU => (uop.latency, 0),
-            Kind::JumpHandlerU { .. } => {
+            | Kind::UiretU | Kind::Store | Kind::PushPcU | Kind::Branch { .. } => (latency, 0),
+            Kind::JumpHandlerU => {
                 // The handler starts *executing* here (speculatively, like
                 // an rdtsc in a real handler); commit finalizes the
                 // record. Re-execution after a squash overwrites the
                 // stamp, keeping the last pre-commit execution.
                 self.current_irq.handler_at = now;
-                (uop.latency, 0)
+                (latency, 0)
             }
             Kind::Alu { kind, imm } => {
-                let b = imm.map_or(sv[1], |i| i as u64);
-                (uop.latency, kind.eval(sv[0], b))
+                let b = if imm { uop.imm } else { sv[1] };
+                (latency, kind.eval(sv[0], b))
             }
-            Kind::Li { imm } => (uop.latency, imm),
-            Kind::Load { offset } => {
-                let addr = sv[0].wrapping_add_signed(offset);
+            Kind::Li => (latency, uop.imm),
+            Kind::Load => {
+                let addr = sv[0].wrapping_add_signed(uop.imm as i64);
                 // Store-to-load forwarding: the youngest older store to
                 // the same word supplies the data at L1 speed.
                 let word = addr & !7;
-                let seq = self.rob[idx].seq;
                 let forwarded = self.stores.iter().rev().skip_while(|&&s| s > seq).find_map(|&s| {
-                    let e = &self.rob[(s - self.head_seq) as usize];
-                    let Kind::Store { offset: soff, data_imm } = e.uop.kind else {
-                        return None;
-                    };
-                    let hit = matches!(e.state, EntryState::Done)
-                        && e.src_vals[0].wrapping_add_signed(soff) & !7 == word;
-                    hit.then(|| data_imm.unwrap_or(e.src_vals[1]))
+                    let e = &self.rob[s];
+                    let (addr, data) = e.store()?;
+                    let hit = matches!(e.state, EntryState::Done) && addr & !7 == word;
+                    hit.then_some(data)
                 });
                 match forwarded {
                     Some(val) => (4, val),
-                    None => {
-                        let (lat, val) = mem.read(self.id, addr);
-                        (lat, val)
-                    }
+                    None => mem.read(self.id, addr),
                 }
             }
-            Kind::Store { .. } => (uop.latency, 0),
-            Kind::Branch { .. } => (uop.latency, 0),
-            Kind::Testui => (uop.latency, u64::from(self.uif)),
-            Kind::UittLoadU { index } => {
+            Kind::Testui => (latency, u64::from(self.uif)),
+            Kind::UittLoadU => {
                 // The UITT entry line: model as a load from a per-core
                 // table address (hot in L1 after first use).
-                let addr = 0x3000_0000 + (self.id as u64) * 4096 + (index as u64) * 16;
+                let addr = 0x3000_0000 + (self.id as u64) * 4096 + uop.imm * 16;
                 let (lat, _) = mem.read(self.id, addr);
                 (lat, 0)
             }
-            Kind::UpidPostU { index } => {
-                let Some(entry) = self.uitt.get(index).copied() else {
+            Kind::UpidPostU => {
+                let Some(entry) = self.uitt.get(uop.imm as usize).copied() else {
                     return (1, 0);
                 };
                 let (lat1, low) = mem.read(self.id, entry.upid_addr);
@@ -1459,7 +1543,7 @@ impl Core {
                     // pending outbox (flushed by tick's caller).
                     self.pending_ipi = Some(dest);
                 }
-                (uop.latency, 0)
+                (latency, 0)
             }
             Kind::UpidDrainU => {
                 let (lat, low) = mem.read(self.id, self.upid_addr);
@@ -1479,7 +1563,7 @@ impl Core {
                     self.last_taken_vector = v;
                     v
                 };
-                (uop.latency, v)
+                (latency, v)
             }
         }
     }
@@ -1504,9 +1588,8 @@ impl Core {
                 _ => {}
             }
             self.fetch_buffer.pop_front();
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut deps = [None, None, None];
+            let seq = self.rob.tail;
+            let mut deps = [NO_DEP; 3];
             let mut next_waiter = [Waiter::NONE; 3];
             let mut src_vals = [0u64, 0];
             let mut deps_remaining = 0u8;
@@ -1514,18 +1597,17 @@ impl Core {
                 if let Some(reg) = uop.srcs[s] {
                     match self.rename[reg.index()] {
                         Some(prod_seq) => {
-                            let pidx = self.entry_index(prod_seq).unwrap_or_else(|| {
-                                panic!(
-                                    "rename points outside ROB: core={} now={} reg={} prod_seq={} head_seq={} rob_len={} next_seq={} uop={:?} irq={:?} recovery={:?}",
-                                    self.id, now, reg.0, prod_seq, self.head_seq,
-                                    self.rob.len(), self.next_seq, uop.kind, self.irq, self.recovery
-                                )
-                            });
-                            let p = &mut self.rob[pidx];
+                            assert!(
+                                self.rob.get(prod_seq).is_some(),
+                                "rename points outside ROB: core={} now={} reg={} prod_seq={} head_seq={} next_seq={} uop={:?} irq={:?} recovery={:?}",
+                                self.id, now, reg.0, prod_seq, self.rob.head,
+                                self.rob.tail, uop.kind, self.irq, self.recovery
+                            );
+                            let p = &mut self.rob[prod_seq];
                             if matches!(p.state, EntryState::Done) {
                                 src_vals[s] = p.result;
                             } else {
-                                deps[s] = Some(prod_seq);
+                                deps[s] = prod_seq;
                                 deps_remaining += 1;
                                 next_waiter[s] =
                                     std::mem::replace(&mut p.waiters, Waiter::new(seq, s));
@@ -1540,10 +1622,10 @@ impl Core {
             // that makes delivery cost what it costs (§3.4).
             if uop.micro {
                 if let Some(prev) = self.last_micro_seq {
-                    if let Some(pidx) = self.entry_index(prev) {
-                        let p = &mut self.rob[pidx];
+                    if self.rob.get(prev).is_some() {
+                        let p = &mut self.rob[prev];
                         if !matches!(p.state, EntryState::Done) {
-                            deps[2] = Some(prev);
+                            deps[2] = prev;
                             deps_remaining += 1;
                             next_waiter[2] = std::mem::replace(&mut p.waiters, Waiter::new(seq, 2));
                         }
@@ -1562,7 +1644,9 @@ impl Core {
             self.iq_count += 1;
             match uop.fu {
                 Fu::Load => self.lq_count += 1,
-                Fu::Store => self.stores.push_back(seq),
+                Fu::Store => {
+                    self.stores.push_back(seq);
+                }
                 _ => {}
             }
             if state == EntryState::Ready {
@@ -1671,7 +1755,6 @@ impl Core {
                 }
             }
             let entry = self.rob.pop_front().expect("head exists");
-            self.head_seq = entry.seq + 1;
             match entry.uop.fu {
                 Fu::Load => self.lq_count -= 1,
                 Fu::Store => {
@@ -1691,26 +1774,10 @@ impl Core {
         if uop.is_program {
             self.stats.committed_insts += 1;
             self.next_commit_pc = match uop.kind {
-                Kind::Branch {
-                    on_zero,
-                    target,
-                    fall,
-                    ..
-                } => {
-                    let taken = if on_zero {
-                        entry.src_vals[0] == 0
-                    } else {
-                        entry.src_vals[0] != 0
-                    };
-                    if taken {
-                        target
-                    } else {
-                        fall
-                    }
-                }
-                _ => match self.program.get(uop.pc).map(|i| i.op) {
+                Kind::Branch { .. } => entry.branch_outcome().1,
+                _ => match self.program.get(uop.pc()).map(|i| i.op) {
                     Some(Op::Jmp { target }) => target,
-                    _ => uop.pc + 1,
+                    _ => uop.pc() + 1,
                 },
             };
         }
@@ -1725,12 +1792,10 @@ impl Core {
                 self.rename[dst.index()] = None;
             }
         }
+        if let Some((addr, data)) = entry.store() {
+            mem.write(self.id, addr, data);
+        }
         match uop.kind {
-            Kind::Store { offset, data_imm } => {
-                let addr = entry.src_vals[0].wrapping_add_signed(offset);
-                let data = data_imm.unwrap_or(entry.src_vals[1]);
-                mem.write(self.id, addr, data);
-            }
             Kind::CluiU | Kind::DeliverCluiU => self.uif = false,
             Kind::StuiU => self.uif = true,
             Kind::UiretU => {
@@ -1750,8 +1815,8 @@ impl Core {
                 }
                 self.trace_event(now, TraceKind::UiretCommitted);
             }
-            Kind::JumpHandlerU { return_pc } => {
-                self.frames.push(return_pc);
+            Kind::JumpHandlerU => {
+                self.frames.push(uop.imm as Pc);
                 self.next_commit_pc = self.handler_pc;
                 self.stats.interrupts_delivered += 1;
                 if self.current_irq.handler_at == 0 {
@@ -1762,8 +1827,9 @@ impl Core {
                 self.irq_kind_pending = None;
                 self.trace_event(now, TraceKind::HandlerEntered);
             }
-            Kind::SetTimerU { cycles, periodic }
+            Kind::SetTimerU { periodic }
                 if self.kbt_enabled => {
+                    let cycles = uop.imm;
                     if periodic {
                         self.kbt_deadline = Some(now + cycles.max(1));
                         self.kbt_period = Some(cycles.max(1));
@@ -1802,9 +1868,48 @@ impl Core {
     /// maintained state disagrees. For tests; `tick` never calls it.
     #[doc(hidden)]
     pub fn check_scheduler_invariants(&self) {
-        let (head, end) = (self.head_seq, self.next_seq);
-        assert_eq!(end - head, self.rob.len() as u64, "ROB sequence window");
+        let (head, end) = (self.rob.head, self.rob.tail);
+        assert!(head <= end && self.rob.len() <= self.cfg.rob_size, "ROB sequence window");
+        let live = |e: &RobEntry| e.state != EntryState::Done;
+        let deps = |e: &RobEntry| e.deps.iter().filter(|&&d| d != NO_DEP).count();
+        // What the scheduler state must hold, from one ROB scan.
+        let (mut ready, mut executing, mut branches, mut micro, mut stores) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut irq_micro, mut queued, mut loads, mut pending) = (0, 0, 0, 0);
+        let mut engaged = false;
+        for seq in head..end {
+            let e = &self.rob.slots[(seq & self.rob.mask) as usize];
+            assert_eq!(e.seq, seq, "live seq {seq} is not at slot seq & mask");
+            assert_eq!(usize::from(e.deps_remaining), deps(e), "seq {seq} dependence count");
+            match e.state {
+                EntryState::Waiting => assert!(e.deps_remaining > 0, "seq {seq} Waiting on nothing"),
+                EntryState::Ready => {
+                    assert!(e.deps_remaining == 0, "seq {seq} Ready with dependences");
+                    ready.push(seq);
+                }
+                EntryState::Executing => executing.push(seq),
+                EntryState::Done => {}
+            }
+            if live(e) && matches!(e.uop.kind, Kind::Branch { .. }) {
+                branches.push(seq);
+            }
+            if live(e) && e.uop.micro {
+                micro.push(seq);
+                irq_micro += usize::from(e.uop.from_interrupt);
+                // Interrupt microcode, or microcode older than every
+                // unresolved branch (the scan meets those first).
+                engaged |= e.uop.from_interrupt || branches.is_empty();
+            }
+            match e.uop.fu {
+                Fu::Store => stores.push(seq),
+                Fu::Load => loads += 1,
+                _ => {}
+            }
+            queued += usize::from(matches!(e.state, EntryState::Waiting | EntryState::Ready));
+            pending += deps(e);
+        }
         let members = |set: &SeqSet, what: &str| {
+            assert_eq!(set.mask, self.rob.mask, "{what}: slot mask");
             let popcount: usize = set.words.iter().map(|w| w.count_ones() as usize).sum();
             assert_eq!(set.len(), popcount, "{what}: member count");
             let mut out = Vec::new();
@@ -1816,97 +1921,195 @@ impl Core {
             assert_eq!(out.len(), popcount, "{what}: member outside the ROB");
             out
         };
-        let scan = |keep: &dyn Fn(&RobEntry) -> bool| -> Vec<u64> {
-            self.rob.iter().filter(|e| keep(e)).map(|e| e.seq).collect()
-        };
-        let live = |e: &RobEntry| !matches!(e.state, EntryState::Done);
-        let is_branch = |e: &RobEntry| matches!(e.uop.kind, Kind::Branch { .. });
-        for (i, e) in self.rob.iter().enumerate() {
-            assert_eq!(e.seq, head + i as u64, "ROB order");
-            assert_eq!(
-                usize::from(e.deps_remaining),
-                e.deps.iter().flatten().count(),
-                "seq {} dependence count",
-                e.seq
-            );
-            match e.state {
-                EntryState::Waiting => assert!(e.deps_remaining > 0, "seq {} Waiting on nothing", e.seq),
-                EntryState::Ready => assert!(
-                    e.deps_remaining == 0 && e.deps == [None; 3],
-                    "seq {} Ready with dependences",
-                    e.seq
-                ),
-                _ => {}
-            }
-        }
-        assert_eq!(
-            members(&self.ready, "Ready set"),
-            scan(&|e| matches!(e.state, EntryState::Ready)),
-            "Ready set"
-        );
-        let mut in_flight = self.in_flight.clone();
-        in_flight.sort_unstable_by_key(|&(_, seq)| seq);
-        let executing: Vec<(u64, u64)> = self
-            .rob
-            .iter()
-            .filter_map(|e| match e.state {
-                EntryState::Executing { done_at } => Some((done_at, e.seq)),
-                _ => None,
-            })
-            .collect();
+        assert_eq!(members(&self.ready, "Ready set"), ready, "Ready set");
+        let mut in_flight: Vec<u64> = self.in_flight.iter().map(|&(_, seq)| seq).collect();
+        in_flight.sort_unstable();
         assert_eq!(in_flight, executing, "in-flight list");
-        assert_eq!(
-            members(&self.unresolved_branches, "unresolved branches"),
-            scan(&|e| is_branch(e) && live(e)),
-            "unresolved branches"
-        );
-        assert_eq!(
-            members(&self.live_micro, "live microcode"),
-            scan(&|e| e.uop.micro && live(e)),
-            "live microcode"
-        );
-        assert_eq!(
-            self.live_irq_micro,
-            scan(&|e| e.uop.micro && e.uop.from_interrupt && live(e)).len(),
-            "live interrupt microcode"
-        );
-        let oldest = self.rob.iter().find(|e| is_branch(e) && live(e)).map(|e| e.seq);
+        let listed = members(&self.unresolved_branches, "unresolved branches");
+        assert_eq!(listed, branches, "unresolved branches");
+        assert_eq!(members(&self.live_micro, "live microcode"), micro, "live microcode");
+        assert_eq!(self.live_irq_micro, irq_micro, "live interrupt microcode");
+        let oldest = branches.first().copied();
         assert_eq!(self.oldest_unresolved_branch(), oldest, "oldest unresolved branch");
-        let engaged = self.rob.iter().any(|e| {
-            e.uop.micro && live(e) && (e.uop.from_interrupt || oldest.is_none_or(|b| e.seq < b))
-        });
         assert_eq!(self.micro_engaged(oldest), engaged, "micro_engaged");
-        assert!(self.stores.iter().copied().eq(scan(&|e| e.uop.fu == Fu::Store)), "store queue");
-        let queued = scan(&|e| matches!(e.state, EntryState::Waiting | EntryState::Ready));
-        assert_eq!(self.iq_count, queued.len(), "issue-queue count");
-        assert_eq!(self.lq_count, scan(&|e| e.uop.fu == Fu::Load).len(), "load-queue count");
+        assert!(self.stores.iter().copied().eq(stores), "store queue");
+        assert_eq!(self.iq_count, queued, "issue-queue count");
+        assert_eq!(self.lq_count, loads, "load-queue count");
         // Wake-up lists: each link reaches a Waiting consumer whose slot
         // waits on the list's producer, no link is reached twice, and
         // there are as many links as pending dependences — so each
         // pending `(producer, slot)` is linked exactly once.
-        let mut linked = std::collections::HashSet::new();
-        for p in &self.rob {
+        let mut linked = vec![0u8; self.rob.slots.len()];
+        let mut links = 0;
+        for p in self.rob.iter() {
             let mut link = p.waiters;
             if link != Waiter::NONE {
                 assert!(live(p), "seq {} is Done with waiters", p.seq);
             }
             while let Some((c, s)) = link.get() {
-                let e = self
-                    .entry_index(c)
-                    .map(|i| &self.rob[i])
-                    .unwrap_or_else(|| {
-                        panic!("seq {}'s wake-up list reaches squashed seq {c}", p.seq)
-                    });
+                let e = self.rob.get(c).unwrap_or_else(|| {
+                    panic!("seq {}'s wake-up list reaches squashed seq {c}", p.seq)
+                });
                 assert!(
-                    e.state == EntryState::Waiting && e.deps[s] == Some(p.seq),
+                    e.state == EntryState::Waiting && e.deps[s] == p.seq,
                     "seq {}'s wake-up list reaches seq {c} slot {s}, which does not wait on it",
                     p.seq
                 );
-                assert!(linked.insert((c, s)), "seq {c} slot {s} linked twice");
+                let seen = &mut linked[(c & self.rob.mask) as usize];
+                assert!(*seen & 1 << s == 0, "seq {c} slot {s} linked twice");
+                *seen |= 1 << s;
+                links += 1;
                 link = e.next_waiter[s];
             }
         }
-        let pending: usize = self.rob.iter().map(|e| e.deps.iter().flatten().count()).sum();
-        assert_eq!(linked.len(), pending, "pending dependences missing from the wake-up lists");
+        assert_eq!(links, pending, "pending dependences missing from the wake-up lists");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeSet, VecDeque};
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The three ROB sizes the properties run at: half, once and four
+    /// times the Table 3 ROB, so the slot count is 256, 512 and 2048.
+    const ROB_SIZES: [usize; 3] = [192, 384, 1536];
+
+    #[test]
+    fn slots_round_up_to_a_power_of_two() {
+        for (rob_size, slots) in [(0, 64), (1, 64), (64, 64), (65, 128), (192, 256), (384, 512), (1536, 2048)] {
+            assert_eq!(slot_count(rob_size), slots, "rob_size {rob_size}");
+            assert_eq!(Ring::<u64>::new(rob_size).mask, slots as u64 - 1);
+        }
+        assert!(std::mem::size_of::<RobEntry>() <= 128, "a ROB entry fits two cache lines");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Slides a ROB-like window of sequence numbers across the ring
+        /// (dispatch at the tail, commit at the head, squash at the
+        /// tail), starting anywhere, so windows wrap the slot space;
+        /// `first_in` over any sub-window must find what a scan of the
+        /// members finds.
+        #[test]
+        fn seq_set_first_in_matches_a_naive_scan(
+            size in 0usize..3,
+            start in 0u64..1 << 48,
+            ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..400),
+        ) {
+            let rob_size = ROB_SIZES[size];
+            let mut set = SeqSet::new(slot_count(rob_size));
+            let mut model = BTreeSet::new();
+            let (mut head, mut tail) = (start, start);
+            for (op, r) in ops {
+                match op {
+                    0 => {
+                        for i in 0..r % 96 {
+                            if tail - head == rob_size as u64 {
+                                break;
+                            }
+                            if r >> (8 + i % 48) & 1 == 1 {
+                                set.insert(tail);
+                                model.insert(tail);
+                            }
+                            tail += 1;
+                        }
+                    }
+                    1 | 2 => {
+                        for _ in 0..r % 64 {
+                            if head == tail {
+                                break;
+                            }
+                            let seq = if op == 1 { head } else { tail - 1 };
+                            if model.remove(&seq) {
+                                set.remove(seq);
+                            }
+                            if op == 1 { head += 1 } else { tail -= 1 }
+                        }
+                    }
+                    _ => {
+                        let from = head + r % (tail - head + 1);
+                        let end = from + (r >> 32) % (tail - from + 1);
+                        let naive = model.range(from..end).next().copied();
+                        prop_assert_eq!(set.first_in(from, end), naive, "first_in({}, {})", from, end);
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                let naive = model.range(head..tail).next().copied();
+                prop_assert_eq!(set.first_in(head, tail), naive, "first_in(head {}, tail {})", head, tail);
+            }
+        }
+
+        /// The ring's push, pop, index, window and iteration agree with
+        /// a `VecDeque` holding the live elements, and equality ignores
+        /// what the stale slots hold.
+        #[test]
+        fn ring_matches_a_vecdeque_model(
+            size in 0usize..3,
+            ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..600),
+        ) {
+            let capacity = ROB_SIZES[size];
+            let mut ring = Ring::<u64>::new(capacity);
+            let mut model = VecDeque::new();
+            let mut head = 0u64;
+            for (op, r) in ops {
+                match op {
+                    0 | 1 => {
+                        for i in 0..r % 80 {
+                            if model.len() == capacity {
+                                break;
+                            }
+                            let pos = ring.push_back(r.wrapping_add(i));
+                            prop_assert_eq!(pos, head + model.len() as u64);
+                            model.push_back(r.wrapping_add(i));
+                        }
+                    }
+                    2 => {
+                        for _ in 0..r % 64 {
+                            let popped = model.pop_front();
+                            prop_assert_eq!(ring.pop_front(), popped);
+                            head += u64::from(popped.is_some());
+                        }
+                    }
+                    3 => {
+                        for _ in 0..r % 64 {
+                            prop_assert_eq!(ring.pop_back(), model.pop_back());
+                        }
+                    }
+                    4 => {
+                        ring.clear();
+                        head += model.len() as u64;
+                        model.clear();
+                    }
+                    _ => {
+                        // Any position: live ones index, others miss.
+                        let pos = head.saturating_sub(8) + r % (model.len() as u64 + 16);
+                        let live = pos.checked_sub(head).and_then(|i| model.get(i as usize));
+                        prop_assert_eq!(ring.get(pos), live);
+                        if let Some(v) = live {
+                            prop_assert_eq!(ring[pos], *v);
+                        }
+                    }
+                }
+                prop_assert_eq!((ring.head, ring.len(), ring.is_empty()), (head, model.len(), model.is_empty()));
+                prop_assert_eq!(ring.front(), model.front());
+                prop_assert_eq!(ring.back(), model.back());
+                prop_assert!(ring.iter().eq(model.iter()));
+                prop_assert!(ring.iter().rev().eq(model.iter().rev()));
+                // The same live window over different stale slots.
+                let mut fresh = Ring::<u64>::new(capacity);
+                fresh.head = head;
+                fresh.tail = head;
+                for &v in &model {
+                    fresh.push_back(v);
+                }
+                prop_assert!(fresh == ring, "equality must see live slots only");
+                prop_assert_eq!(format!("{fresh:?}"), format!("{ring:?}"));
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! pays the same remote-read penalty when it drains a UPID a sender just
 //! posted into (§4.2 "Cheaper than shared memory notification?").
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -24,11 +25,12 @@ fn line_of(addr: u64) -> u64 {
     addr >> LINE_SHIFT
 }
 
-fn word_of(addr: u64) -> u64 {
-    addr & !7
+/// The index of `addr`'s aligned 64-bit word within its line.
+fn word_in_line(addr: u64) -> usize {
+    ((addr >> 3) & 7) as usize
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SetAssocCache {
     sets: Vec<Vec<(u64, u64)>>, // (line, lru_stamp)
     ways: usize,
@@ -105,20 +107,59 @@ pub struct MemStats {
     pub remote_transfers: u64,
 }
 
+/// What the memory system knows about one line. A line is on chip (the
+/// LLC is effectively infinite) once it has an entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Line {
+    /// The line's eight 64-bit words (0 until written).
+    words: [u64; 8],
+    /// Bitmask of cores that may cache the line.
+    presence: u64,
+    /// The writer that holds the line modified (core id or
+    /// [`EXTERNAL_WRITER`]).
+    modified_by: Option<usize>,
+}
+
+/// A fixed multiplicative hash for line numbers: one folded 64×64-bit
+/// multiply, so both the bucket bits and the tag bits depend on every
+/// bit of the line. Not randomized: the map is never iterated, so its
+/// layout cannot reach any output.
+#[derive(Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+}
+
+/// Caches `line` in one core's L1 and L2, spilling the L1 victim to L2.
+fn fill(l1: &mut SetAssocCache, l2: &mut SetAssocCache, line: u64) {
+    if let Some(evicted) = l1.insert(line) {
+        l2.insert(evicted);
+    }
+    l2.insert(line);
+}
+
 /// The system-wide memory model: values plus timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
     cfg: MemConfig,
-    words: HashMap<u64, u64>,
+    /// Every on-chip line: its words and its coherence state.
+    lines: HashMap<u64, Line, BuildHasherDefault<LineHasher>>,
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
-    /// Lines resident somewhere on chip (LLC is effectively infinite).
-    llc: HashMap<u64, ()>,
-    /// Line → writer that holds it modified (core id or
-    /// [`EXTERNAL_WRITER`]).
-    modified_by: HashMap<u64, usize>,
-    /// Line → bitmask of cores that may cache it.
-    presence: HashMap<u64, u64>,
     stats: Vec<MemStats>,
 }
 
@@ -130,10 +171,7 @@ impl MemorySystem {
             l1: (0..cores).map(|_| SetAssocCache::new(cfg.l1_sets, cfg.l1_ways)).collect(),
             l2: (0..cores).map(|_| SetAssocCache::new(cfg.l2_sets, cfg.l2_ways)).collect(),
             cfg,
-            words: HashMap::new(),
-            llc: HashMap::new(),
-            modified_by: HashMap::new(),
-            presence: HashMap::new(),
+            lines: HashMap::default(),
             stats: vec![MemStats::default(); cores],
         }
     }
@@ -150,75 +188,76 @@ impl MemorySystem {
         self.stats[core]
     }
 
-    fn note_present(&mut self, line: u64, core: usize) {
-        if core != EXTERNAL_WRITER {
-            *self.presence.entry(line).or_insert(0) |= 1u64 << core;
-        }
-        self.llc.insert(line, ());
-    }
-
-    fn fill(&mut self, core: usize, line: u64) {
-        if core == EXTERNAL_WRITER {
-            return;
-        }
-        if let Some(evicted) = self.l1[core].insert(line) {
-            self.l2[core].insert(evicted);
-        }
-        self.l2[core].insert(line);
-        self.note_present(line, core);
-    }
-
-    fn invalidate_others(&mut self, line: u64, keeper: usize) {
-        let mask = self.presence.get(&line).copied().unwrap_or(0);
+    /// Drops `line` from every cache but `keeper`'s (which may be
+    /// [`EXTERNAL_WRITER`], keeping none).
+    fn invalidate_others(
+        l1: &mut [SetAssocCache],
+        l2: &mut [SetAssocCache],
+        state: &mut Line,
+        line: u64,
+        keeper: usize,
+    ) {
+        let mask = state.presence;
         if mask == 0 {
             return;
         }
-        for core in 0..self.l1.len() {
+        for core in 0..l1.len() {
             if core != keeper && mask & (1u64 << core) != 0 {
-                self.l1[core].invalidate(line);
-                self.l2[core].invalidate(line);
+                l1[core].invalidate(line);
+                l2[core].invalidate(line);
             }
         }
-        let keep_bit = if keeper == EXTERNAL_WRITER {
+        state.presence = if keeper == EXTERNAL_WRITER {
             0
         } else {
             mask & (1u64 << keeper)
         };
-        self.presence.insert(line, keep_bit);
     }
 
     /// Performs a timed read: returns `(latency_cycles, value)`.
     pub fn read(&mut self, core: usize, addr: u64) -> (u64, u64) {
         let line = line_of(addr);
-        let value = self.words.get(&word_of(addr)).copied().unwrap_or(0);
-        let latency = match self.modified_by.get(&line).copied() {
+        let (l1, l2) = (&mut self.l1[core], &mut self.l2[core]);
+        let stats = &mut self.stats[core];
+        let state = match self.lines.entry(line) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                // First touch: in no cache (the lookups still age LRU).
+                let cached = l1.contains(line) | l2.contains(line);
+                debug_assert!(!cached, "line {line:#x} cached but not on chip");
+                stats.mem_accesses += 1;
+                fill(l1, l2, line);
+                let state = e.insert(Line::default());
+                state.presence |= 1u64 << core;
+                return (self.cfg.mem_latency, 0);
+            }
+        };
+        let value = state.words[word_in_line(addr)];
+        let latency = match state.modified_by {
             Some(writer) if writer != core => {
                 // Dirty in another agent's cache: cache-to-cache transfer;
                 // the line becomes shared.
-                self.modified_by.remove(&line);
-                self.stats[core].remote_transfers += 1;
-                self.fill(core, line);
+                state.modified_by = None;
+                stats.remote_transfers += 1;
+                fill(l1, l2, line);
                 self.cfg.remote_latency
             }
+            _ if l1.contains(line) => {
+                stats.l1_hits += 1;
+                return (self.cfg.l1_latency, value);
+            }
+            _ if l2.contains(line) => {
+                stats.l2_hits += 1;
+                fill(l1, l2, line);
+                self.cfg.l2_latency
+            }
             _ => {
-                if self.l1[core].contains(line) {
-                    self.stats[core].l1_hits += 1;
-                    self.cfg.l1_latency
-                } else if self.l2[core].contains(line) {
-                    self.stats[core].l2_hits += 1;
-                    self.fill(core, line);
-                    self.cfg.l2_latency
-                } else if self.llc.contains_key(&line) {
-                    self.stats[core].llc_hits += 1;
-                    self.fill(core, line);
-                    self.cfg.llc_latency
-                } else {
-                    self.stats[core].mem_accesses += 1;
-                    self.fill(core, line);
-                    self.cfg.mem_latency
-                }
+                stats.llc_hits += 1;
+                fill(l1, l2, line);
+                self.cfg.llc_latency
             }
         };
+        state.presence |= 1u64 << core;
         (latency, value)
     }
 
@@ -227,39 +266,39 @@ impl MemorySystem {
     /// modified by `core`.
     pub fn write(&mut self, core: usize, addr: u64, value: u64) -> u64 {
         let line = line_of(addr);
-        self.invalidate_others(line, core);
+        let state = self.lines.entry(line).or_default();
+        Self::invalidate_others(&mut self.l1, &mut self.l2, state, line, core);
         let latency = if core == EXTERNAL_WRITER {
-            self.note_present(line, core);
             0
-        } else if self.l1[core].contains(line) && !self.was_remote_dirty(line, core) {
-            self.cfg.l1_latency
         } else {
-            self.fill(core, line);
+            let remote_dirty = matches!(state.modified_by, Some(w) if w != core);
+            if !self.l1[core].contains(line) || remote_dirty {
+                fill(&mut self.l1[core], &mut self.l2[core], line);
+                state.presence |= 1u64 << core;
+            }
             self.cfg.l1_latency
         };
-        self.modified_by.insert(line, core);
-        self.words.insert(word_of(addr), value);
+        state.modified_by = Some(core);
+        state.words[word_in_line(addr)] = value;
         latency
-    }
-
-    fn was_remote_dirty(&self, line: u64, core: usize) -> bool {
-        matches!(self.modified_by.get(&line), Some(&w) if w != core)
     }
 
     /// Untimed read for devices/tests.
     #[must_use]
     pub fn peek(&self, addr: u64) -> u64 {
-        self.words.get(&word_of(addr)).copied().unwrap_or(0)
+        self.lines
+            .get(&line_of(addr))
+            .map_or(0, |state| state.words[word_in_line(addr)])
     }
 
     /// Untimed write that still participates in coherence as an external
     /// agent (used to initialize workload data without billing a core).
     pub fn poke(&mut self, addr: u64, value: u64) {
         let line = line_of(addr);
-        self.invalidate_others(line, EXTERNAL_WRITER);
-        self.modified_by.remove(&line);
-        self.note_present(line, EXTERNAL_WRITER);
-        self.words.insert(word_of(addr), value);
+        let state = self.lines.entry(line).or_default();
+        Self::invalidate_others(&mut self.l1, &mut self.l2, state, line, EXTERNAL_WRITER);
+        state.modified_by = None;
+        state.words[word_in_line(addr)] = value;
     }
 }
 

@@ -110,6 +110,14 @@ fn ablation_strategies_matches_golden() {
     check_preset("ablation_strategies");
 }
 
+/// Fig 5: matmul and base64 under HW safepoints, UIPI and compiler
+/// polling across the quantum sweep — the slowest cycle-level preset
+/// in tier-1.
+#[test]
+fn fig5_safepoints_matches_golden() {
+    check_preset("fig5_safepoints");
+}
+
 #[test]
 fn x1_worst_case_matches_golden() {
     check_preset("x1_worst_case");
