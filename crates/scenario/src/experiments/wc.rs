@@ -21,10 +21,9 @@
 //!    worst-case reducer.
 //!
 //! Two artifacts are emitted: the per-scenario detail (probes + full
-//! per-arm reports, id = scenario name) and the shared
-//! `x1_worst_case` summary extending the §6.1 artifact with exact
-//! worst-case latency, per-percentile jitter CDFs, and inversion
-//! counts.
+//! per-arm reports, id = scenario name) and the `<scenario>_x1`
+//! summary extending the §6.1 artifact with exact worst-case latency,
+//! per-percentile jitter CDFs, and inversion counts.
 
 use serde::Serialize;
 
@@ -64,7 +63,7 @@ struct ArmRow {
     report: WorstCaseReport,
 }
 
-/// The shared `x1_worst_case` summary row (one per arm).
+/// The `<scenario>_x1` summary row (one per arm).
 #[derive(Serialize)]
 struct SummaryRow {
     kind: &'static str,
@@ -264,7 +263,7 @@ pub(crate) fn run(
         },
     );
     sink.emit(
-        "x1_worst_case",
+        &format!("{id}_x1"),
         &Summary { scenario: id.to_string(), deadline, worst_case, passed, arms: summary_arms },
     );
     passed

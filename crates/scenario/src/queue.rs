@@ -446,6 +446,16 @@ impl RunQueue {
     }
 }
 
+/// `run panicked: <message>` for a panic caught around [`runner::run`].
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "run panicked".to_string());
+    format!("run panicked: {msg}")
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
@@ -471,18 +481,8 @@ fn worker_loop(inner: &Inner) {
                 inner.set_state(job.id, RunState::Failed, None, Some(e), None);
             }
             Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "run panicked".to_string());
-                inner.set_state(
-                    job.id,
-                    RunState::Failed,
-                    None,
-                    Some(format!("run panicked: {msg}")),
-                    None,
-                );
+                let msg = panic_message(&*panic);
+                inner.set_state(job.id, RunState::Failed, None, Some(msg), None);
             }
         }
     }

@@ -22,29 +22,26 @@
 //! is order-independent and verifies the shards form an exact disjoint
 //! cover of the expansion.
 //!
-//! Execution fans the points of one process across the existing
-//! [`RunQueue`](crate::queue::RunQueue) worker pool ([`run_points`]);
+//! Execution fans the points of one process across the deterministic
+//! [`Sweep`] executor ([`run_points`]);
 //! the `xui sweep` subcommand and the `POST /api/sweeps` route in
 //! `xui-serve` are both thin layers over this module.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::queue::RunQueue;
+use crate::executor::Sweep;
+use crate::queue::panic_message;
 use crate::registry;
 use crate::report::render_json;
-use crate::runner::RunOptions;
+use crate::runner::{self, RunOptions};
 use crate::spec::Scenario;
 
 /// Upper bound on the points one sweep may expand to: grids are typed
 /// by hand and a fat-fingered range must fail loudly, not melt the box.
 pub const MAX_POINTS: usize = 4096;
-
-/// How long [`run_points`] waits for any single point before declaring
-/// the sweep wedged.
-const POINT_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// The scenario template a sweep expands over.
 #[derive(Debug, Clone, PartialEq)]
@@ -701,16 +698,17 @@ fn render_manifest(
     render_json(&Value::Object(entries))
 }
 
-/// Runs the sweep's points (all of them, or one shard) across a
-/// [`RunQueue`] worker pool and returns the byte-stable outputs.
+/// Runs the sweep's points (all of them, or one shard) across `workers`
+/// [`Sweep`] threads and returns the byte-stable outputs.
 /// Artifacts are namespaced by point (`<point>/<artifact-id>.json`) and
 /// the manifest lists points sorted by name, so shard outputs merge
 /// order-independently into exactly the unsharded bytes.
 ///
 /// # Errors
 ///
-/// Propagates expansion errors; a point whose *run* fails is recorded in
-/// the manifest as `passed: false` with its error, not an `Err`.
+/// Propagates expansion errors; a point whose *run* fails or panics is
+/// recorded in the manifest as `passed: false` with its error, not an
+/// `Err`.
 pub fn run_points(
     spec: &SweepSpec,
     shard: Option<ShardSpec>,
@@ -758,42 +756,26 @@ pub fn run_points_resuming(
         })
         .collect();
 
-    let workers = workers.max(1).min(mine.len().max(1));
-    let queue = RunQueue::new(workers, mine.len().max(1));
-    let mut submitted = Vec::with_capacity(mine.len());
-    for point in &mine {
-        let id = queue
-            .submit(point.scenario.clone(), RunOptions::default())
-            .map_err(|e| format!("point `{}`: {e}", point.name))?;
-        submitted.push((id, point.name.clone()));
-    }
-
-    outcomes.reserve(submitted.len());
+    let runs = Sweep::new(mine).threads(workers).run(|point, _| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            runner::run(&point.scenario, &RunOptions::default())
+        }));
+        (point.name.clone(), run.unwrap_or_else(|panic| Err(panic_message(&*panic))))
+    });
     let mut files = Vec::new();
-    for (id, name) in submitted {
-        let status = queue
-            .wait_terminal(id, POINT_TIMEOUT)
-            .ok_or_else(|| format!("point `{name}` vanished from the queue"))?;
-        if !matches!(status.state.as_str(), "done" | "failed") {
-            queue.shutdown();
-            return Err(format!("point `{name}` timed out after {POINT_TIMEOUT:?}"));
-        }
-        let report = queue.report(id);
-        let mut artifacts = Vec::new();
-        if let Some(report) = &report {
-            for a in &report.artifacts {
-                artifacts.push(a.id.clone());
-                files.push((format!("{name}/{}.json", a.id), a.json.clone()));
+    for (name, run) in runs {
+        let (passed, error, artifacts) = match run {
+            Ok(report) => {
+                let ids = report.artifacts.iter().map(|a| a.id.clone()).collect();
+                for a in report.artifacts {
+                    files.push((format!("{name}/{}.json", a.id), a.json));
+                }
+                (report.passed, None, ids)
             }
-        }
-        outcomes.push(PointOutcome {
-            name,
-            passed: status.passed.unwrap_or(false),
-            artifacts,
-            error: status.error,
-        });
+            Err(e) => (false, Some(e), Vec::new()),
+        };
+        outcomes.push(PointOutcome { name, passed, artifacts, error });
     }
-    queue.shutdown();
 
     outcomes.sort_by(|a, b| a.name.cmp(&b.name));
     files.sort_by(|a, b| a.0.cmp(&b.0));
