@@ -148,34 +148,32 @@ impl CompletionWaiter {
     /// everything behind it (head-of-line blocking on the completion
     /// stream). Records whose completion time has already passed when
     /// their wait starts are detected with the mode's minimum delay.
+    ///
+    /// With `faults`, the injector's `ReorderCompletions` op first
+    /// permutes the notification order within its windows (the
+    /// accelerator raised its completion interrupts out of submission
+    /// order), so an early descriptor can be stuck behind a slow one.
+    /// An empty plan changes nothing.
     #[must_use]
-    pub fn observe_batch(&self, wait_start: u64, completed_at: &[u64]) -> Vec<WaitOutcome> {
-        let mut out = Vec::with_capacity(completed_at.len());
-        let mut start = wait_start;
-        for &c in completed_at {
-            let o = self.wait(start, c.max(start));
-            start = o.detected_at;
-            out.push(o);
-        }
-        out
-    }
-
-    /// [`CompletionWaiter::observe_batch`] under fault injection: the
-    /// injector's `ReorderCompletions` op permutes the notification
-    /// order within its windows (the accelerator raised its completion
-    /// interrupts out of submission order), so an early descriptor can
-    /// be stuck behind a slow one. With an empty plan this is exactly
-    /// [`CompletionWaiter::observe_batch`].
-    #[must_use]
-    pub fn observe_batch_faulted(
+    pub fn observe_batch(
         &self,
         wait_start: u64,
         completed_at: &[u64],
-        inj: &mut FaultInjector,
+        faults: Option<&mut FaultInjector>,
     ) -> Vec<WaitOutcome> {
-        let mut order: Vec<u64> = completed_at.to_vec();
-        inj.permute_completions(&mut order);
-        self.observe_batch(wait_start, &order)
+        let mut order = completed_at.to_vec();
+        if let Some(inj) = faults {
+            inj.permute_completions(&mut order);
+        }
+        let mut start = wait_start;
+        order
+            .into_iter()
+            .map(|c| {
+                let o = self.wait(start, c.max(start));
+                start = o.detected_at;
+                o
+            })
+            .collect()
     }
 }
 
@@ -246,7 +244,7 @@ mod tests {
     #[test]
     fn observe_batch_detections_are_monotonic_and_hol_block() {
         let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let outs = w.observe_batch(0, &[10_000, 2_000, 30_000]);
+        let outs = w.observe_batch(0, &[10_000, 2_000, 30_000], None);
         assert_eq!(outs.len(), 3);
         // The 2_000 record completed long before its wait started: it is
         // stuck behind the 10_000 one (head-of-line blocking).
@@ -261,9 +259,9 @@ mod tests {
         use xui_faults::{FaultInjector, FaultPlan};
         let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
         let completions = [5_000, 9_000, 1_000, 14_000];
-        let clean = w.observe_batch(0, &completions);
+        let clean = w.observe_batch(0, &completions, None);
         let mut inj = FaultInjector::new(&FaultPlan::named("empty"));
-        let faulted = w.observe_batch_faulted(0, &completions, &mut inj);
+        let faulted = w.observe_batch(0, &completions, Some(&mut inj));
         assert_eq!(clean, faulted);
     }
 
@@ -274,15 +272,15 @@ mod tests {
         let completions: Vec<u64> = (0..16).map(|i| 1_000 * (i + 1)).collect();
         let plan = FaultPlan::named("reorder").seed(11).reorder_completions(4);
         let mut a_inj = FaultInjector::new(&plan);
-        let a = w.observe_batch_faulted(0, &completions, &mut a_inj);
+        let a = w.observe_batch(0, &completions, Some(&mut a_inj));
         let mut b_inj = FaultInjector::new(&plan);
-        let b = w.observe_batch_faulted(0, &completions, &mut b_inj);
+        let b = w.observe_batch(0, &completions, Some(&mut b_inj));
         assert_eq!(a, b, "same plan, same permutation");
         assert_eq!(a.len(), completions.len(), "no record lost or invented");
         // Detection stays monotonic even when notification order is not.
         assert!(a.windows(2).all(|p| p[0].detected_at <= p[1].detected_at));
         // The permutation actually bites for this seed/window.
-        let clean = w.observe_batch(0, &completions);
+        let clean = w.observe_batch(0, &completions, None);
         assert_ne!(a, clean, "reorder changed per-record outcomes");
     }
 

@@ -9,9 +9,10 @@
 //! experiment, and ablation, and the `xui` CLI at the workspace root
 //! drives the same path for both presets and scenario files.
 //!
-//! Around the runner sit the pieces every run shares: the deterministic
-//! sweep-point [`executor`], the strict [`cli`] parser, and the
-//! [`report`] helpers that print tables and write artifacts.
+//! Around the runner sit the pieces every run shares: the
+//! [`executor`] (the deterministic sweep-point fan-out and the bounded
+//! worker pool under the run [`queue`]), the strict [`cli`] parser, and
+//! the [`report`] helpers that print tables and write artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use cli::{CliError, CliSpec, Parsed};
-pub use executor::{Sweep, SweepCtx};
+pub use executor::{Sweep, SweepCtx, WorkerPool};
 pub use queue::{CancelError, RunId, RunQueue, RunState, RunStatus, SubmitError};
 pub use report::{banner, pct, save_json, write_atomic, AsciiChart, Table};
 pub use runner::{run, Artifact, BenchOpts, ProgressHook, RunOptions, RunProgress, RunReport};

@@ -1,23 +1,22 @@
-//! A reusable scenario run queue: validated scenarios are enqueued,
-//! fanned over a fixed pool of worker threads, and tracked through an
-//! explicit state machine (`queued → running → done | failed`).
+//! A scenario run queue: validated scenarios are enqueued onto a
+//! bounded [`WorkerPool`] and tracked through an explicit state machine
+//! (`queued → running → done | failed`).
 //!
 //! This is the execution backbone of the `xui serve` control plane
 //! (`POST /api/runs` submits here, `GET /api/runs/<id>` reads the state
-//! machine), but it is deliberately HTTP-free so a future sweep driver
-//! can fan a parameter grid over the same pool. Every run executes
-//! through [`runner::run`], so artifacts are byte-identical to the
-//! offline `xui run` path for the same scenario and options.
+//! machine), kept HTTP-free. Every run executes through
+//! [`runner::run`], so artifacts are byte-identical to the offline
+//! `xui run` path for the same scenario and options.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
+use crate::executor::WorkerPool;
 use crate::runner::{self, RunOptions, RunReport};
 use crate::spec::Scenario;
 
@@ -168,13 +167,8 @@ impl Entry {
 }
 
 struct Inner {
-    jobs: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
     entries: Mutex<BTreeMap<RunId, Entry>>,
     entry_changed: Condvar,
-    next_id: Mutex<RunId>,
-    depth: usize,
-    shutting_down: AtomicBool,
     observer: Option<StateObserver>,
 }
 
@@ -206,25 +200,36 @@ impl Inner {
         }
         self.entry_changed.notify_all();
     }
+
+    /// The pool handler: runs one job through its lifecycle.
+    fn execute(&self, job: Job) {
+        self.set_state(job.id, RunState::Running, None, None, None);
+        match catch_unwind(AssertUnwindSafe(|| runner::run(&job.scenario, &job.opts))) {
+            Ok(Ok(report)) => {
+                let passed = report.passed;
+                self.set_state(job.id, RunState::Done, Some(passed), None, Some(report));
+            }
+            Ok(Err(e)) => self.set_state(job.id, RunState::Failed, None, Some(e), None),
+            Err(panic) => {
+                let msg = panic_message(&*panic);
+                self.set_state(job.id, RunState::Failed, None, Some(msg), None);
+            }
+        }
+    }
 }
 
-/// The queue itself: owns the worker threads. Dropping it without
-/// [`RunQueue::shutdown`] detaches the workers (they exit once the
-/// queue empties and the inner handle is released at process exit);
-/// call `shutdown` for a clean join.
+/// The queue itself: owns the worker pool. Dropping it without
+/// [`RunQueue::shutdown`] detaches the workers; call `shutdown` for a
+/// clean join.
 pub struct RunQueue {
     inner: Arc<Inner>,
-    /// Behind a mutex so [`RunQueue::shutdown`] can join through a
-    /// shared reference (the serve layer tears down via `Arc<Self>`).
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    pool: WorkerPool<Job>,
+    next_id: AtomicU64,
 }
 
 impl std::fmt::Debug for RunQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunQueue")
-            .field("workers", &self.workers.lock().map_or(0, |w| w.len()))
-            .field("depth", &self.inner.depth)
-            .finish()
+        f.debug_struct("RunQueue").field("pool", &self.pool).finish()
     }
 }
 
@@ -251,25 +256,14 @@ impl RunQueue {
         assert!(workers > 0, "the run queue needs at least one worker");
         assert!(depth > 0, "the run queue needs a positive depth bound");
         let inner = Arc::new(Inner {
-            jobs: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
             entries: Mutex::new(BTreeMap::new()),
             entry_changed: Condvar::new(),
-            next_id: Mutex::new(1),
-            depth,
-            shutting_down: AtomicBool::new(false),
             observer,
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("xui-run-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn run worker")
-            })
-            .collect();
-        Self { inner, workers: Mutex::new(handles) }
+        let worker_inner = Arc::clone(&inner);
+        let pool =
+            WorkerPool::new("xui-run-worker", workers, depth, move |job| worker_inner.execute(job));
+        Self { inner, pool, next_id: AtomicU64::new(1) }
     }
 
     /// Validates and enqueues a scenario; returns its run id.
@@ -280,49 +274,37 @@ impl RunQueue {
     /// [`SubmitError::Full`] when `depth` runs are already waiting, and
     /// [`SubmitError::ShuttingDown`] after [`RunQueue::shutdown`] began.
     pub fn submit(&self, scenario: Scenario, opts: RunOptions) -> Result<RunId, SubmitError> {
-        if self.inner.shutting_down.load(Ordering::Relaxed) {
+        if self.pool.is_shut_down() {
             return Err(SubmitError::ShuttingDown);
         }
         scenario.validate().map_err(SubmitError::Invalid)?;
-        let id = {
-            let mut next = self.inner.next_id.lock().expect("run id counter poisoned");
-            let id = *next;
-            *next += 1;
-            id
-        };
-        // The jobs lock is held across the `Queued` observer call so no
-        // worker can report `Running` first (observers must therefore
-        // never call back into the queue).
-        let mut jobs = self.inner.jobs.lock().expect("run jobs poisoned");
-        // Re-check under the lock: shutdown() drains this queue while
-        // holding it, so a submit that raced past the early check must
-        // not push a job the drained queue will never execute or cancel.
-        if self.inner.shutting_down.load(Ordering::Relaxed) {
-            return Err(SubmitError::ShuttingDown);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let name = scenario.name.clone();
+        // The entries lock is held across the hand-off and the `Queued`
+        // observer call: a worker that claims the job at once blocks on
+        // it before reporting `Running` (observers must therefore never
+        // call back into the queue), and a refused job leaves no entry.
+        let mut entries = self.inner.entries.lock().expect("run entries poisoned");
+        if self.pool.submit(Job { id, scenario, opts }).is_err() {
+            return Err(if self.pool.is_shut_down() {
+                SubmitError::ShuttingDown
+            } else {
+                SubmitError::Full { depth: self.pool.bound() }
+            });
         }
-        if jobs.len() >= self.inner.depth {
-            return Err(SubmitError::Full { depth: self.inner.depth });
-        }
-        self.inner
-            .entries
-            .lock()
-            .expect("run entries poisoned")
-            .insert(
-                id,
-                Entry {
-                    scenario: scenario.name.clone(),
-                    state: RunState::Queued,
-                    passed: None,
-                    error: None,
-                    report: None,
-                },
-            );
+        entries.insert(
+            id,
+            Entry {
+                scenario: name,
+                state: RunState::Queued,
+                passed: None,
+                error: None,
+                report: None,
+            },
+        );
         if let Some(obs) = &self.inner.observer {
             obs(id, RunState::Queued);
         }
-        jobs.push_back(Job { id, scenario, opts });
-        drop(jobs);
-        self.inner.job_ready.notify_one();
         Ok(id)
     }
 
@@ -394,15 +376,7 @@ impl RunQueue {
     /// [`CancelError::NotCancellable`] (naming the state) once the run
     /// left the waiting queue.
     pub fn cancel(&self, id: RunId) -> Result<RunStatus, CancelError> {
-        let removed = {
-            // Hold the jobs lock across the removal so no worker can
-            // pop the job mid-cancel; state is published after release
-            // like every other transition.
-            let mut jobs = self.inner.jobs.lock().expect("run jobs poisoned");
-            let pos = jobs.iter().position(|j| j.id == id);
-            pos.map(|p| jobs.remove(p)).is_some()
-        };
-        if removed {
+        if self.pool.remove(|j| j.id == id).is_some() {
             self.inner.set_state(
                 id,
                 RunState::Failed,
@@ -418,30 +392,19 @@ impl RunQueue {
         }
     }
 
-    /// Stops accepting work, cancels runs still waiting in the queue
-    /// (they become `failed` with a cancellation error), lets running
-    /// scenarios finish, and joins the workers. Idempotent; statuses
+    /// Stops accepting work, lets running scenarios finish, joins the
+    /// workers, and cancels the runs that were still waiting (they
+    /// become `failed` with a cancellation error). Idempotent; statuses
     /// and reports stay queryable afterwards.
     pub fn shutdown(&self) {
-        self.inner.shutting_down.store(true, Ordering::Relaxed);
-        let cancelled: Vec<RunId> = {
-            let mut jobs = self.inner.jobs.lock().expect("run jobs poisoned");
-            jobs.drain(..).map(|j| j.id).collect()
-        };
-        for id in cancelled {
+        for job in self.pool.shutdown() {
             self.inner.set_state(
-                id,
+                job.id,
                 RunState::Failed,
                 None,
                 Some("cancelled: the queue shut down before a worker picked this run up".into()),
                 None,
             );
-        }
-        self.inner.job_ready.notify_all();
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.workers.lock().expect("run workers poisoned"));
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
@@ -454,38 +417,6 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .or_else(|| panic.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "run panicked".to_string());
     format!("run panicked: {msg}")
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        let job = {
-            let mut jobs = inner.jobs.lock().expect("run jobs poisoned");
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                if inner.shutting_down.load(Ordering::Relaxed) {
-                    return;
-                }
-                jobs = inner.job_ready.wait(jobs).expect("run jobs poisoned");
-            }
-        };
-        inner.set_state(job.id, RunState::Running, None, None, None);
-        let outcome = catch_unwind(AssertUnwindSafe(|| runner::run(&job.scenario, &job.opts)));
-        match outcome {
-            Ok(Ok(report)) => {
-                let passed = report.passed;
-                inner.set_state(job.id, RunState::Done, Some(passed), None, Some(report));
-            }
-            Ok(Err(e)) => {
-                inner.set_state(job.id, RunState::Failed, None, Some(e), None);
-            }
-            Err(panic) => {
-                let msg = panic_message(&*panic);
-                inner.set_state(job.id, RunState::Failed, None, Some(msg), None);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -548,6 +479,7 @@ mod tests {
             }
         }
         assert!(saw_full, "the depth bound never triggered");
+        assert_eq!(q.list().len(), ids.len(), "a refused submission leaves no entry");
         q.shutdown();
         for id in ids {
             let s = q.status(id).expect("accepted runs stay tracked");
@@ -602,6 +534,28 @@ mod tests {
             q.cancel(busy),
             Err(CancelError::NotCancellable { state: "done".to_string() })
         );
+        q.shutdown();
+    }
+
+    #[test]
+    fn panicking_run_fails_and_keeps_its_worker() {
+        let opts = RunOptions {
+            progress: ProgressHook::new(|p| {
+                if matches!(p, RunProgress::Started { .. }) {
+                    panic!("hook bug");
+                }
+            }),
+            ..RunOptions::default()
+        };
+        let q = RunQueue::new(1, 2);
+        let bad = q.submit(fast_scenario(), opts).expect("submit panicking run");
+        let status = q.wait_terminal(bad, Duration::from_secs(120)).expect("known run");
+        assert_eq!(status.state, "failed");
+        assert_eq!(status.error.as_deref(), Some("run panicked: hook bug"));
+        // The one worker survived the unwind and runs the next job.
+        let good = q.submit(fast_scenario(), RunOptions::default()).expect("submit");
+        let status = q.wait_terminal(good, Duration::from_secs(120)).expect("known run");
+        assert_eq!(status.state, "done");
         q.shutdown();
     }
 

@@ -313,7 +313,7 @@ pub fn status_text(status: u16) -> &'static str {
 }
 
 /// Escapes a string as a JSON string literal (shared with the SSE
-/// encoder; identical rules to the telemetry JSONL writer).
+/// encoder; identical rules to the telemetry crate's one-line JSON).
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

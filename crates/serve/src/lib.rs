@@ -8,9 +8,9 @@
 //!
 //! Everything is hand-rolled on `std::net` (the workspace builds
 //! offline from vendored stubs; there is no async runtime to import):
-//! a [`ThreadPool`]-fed accept loop ([`Server`]), a one-request
-//! HTTP/1.1 parser ([`http`]), and an SSE encoder ([`sse`]) over the
-//! telemetry crate's `BroadcastHub`. The core invariant is inherited
+//! an accept loop ([`Server`]) feeding a bounded worker pool, a
+//! one-request HTTP/1.1 parser ([`http`]), and an SSE encoder ([`sse`])
+//! over the telemetry crate's `BroadcastHub`. The core invariant is inherited
 //! from the broadcast layer and tested end-to-end here: **streaming
 //! never perturbs the run** — a slow subscriber loses events into an
 //! explicit `dropped_events` counter, and on-disk/streamed artifacts
@@ -29,14 +29,12 @@
 
 pub mod http;
 pub mod load;
-pub mod pool;
 pub mod runs;
 pub mod server;
 pub mod sse;
 pub mod sweeps;
 
 pub use load::{consume_stream, http_request, run_load, LoadConfig, LoadReport, SubscriberReport};
-pub use pool::{PoolSaturated, ThreadPool};
 pub use runs::{RunManager, RunShared, MAX_HOLD_MS};
 pub use server::{Server, ServeConfig};
 pub use sweeps::{SweepManager, SweepShared};

@@ -1,6 +1,6 @@
 //! The HTTP server: a `TcpListener` accept loop feeding a bounded
-//! [`ThreadPool`], routing onto the scenario registry, the
-//! [`RunManager`], and the `results/` artifact store.
+//! [`WorkerPool`] of connection handlers, routing onto the scenario
+//! registry, the [`RunManager`], and the `results/` artifact store.
 //!
 //! # Endpoints
 //!
@@ -39,10 +39,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde::{Deserialize, Value};
-use xui_scenario::{registry, CancelError, Scenario, SubmitError};
+use xui_scenario::{registry, CancelError, Scenario, SubmitError, WorkerPool};
 
 use crate::http::{self, json_string, Request, Response};
-use crate::pool::ThreadPool;
 use crate::runs::{RunManager, RunShared};
 use crate::sse;
 use crate::sweeps::{self, SweepManager, SweepShared};
@@ -79,7 +78,6 @@ impl Default for ServeConfig {
 struct Ctx {
     manager: Arc<RunManager>,
     sweeps: SweepManager,
-    pool: ThreadPool,
     shutting_down: Arc<AtomicBool>,
     local_addr: SocketAddr,
 }
@@ -89,6 +87,8 @@ struct Ctx {
 /// [`Server::join`]).
 pub struct Server {
     ctx: Arc<Ctx>,
+    /// Connection handlers, fed by the accept loop.
+    pool: Arc<WorkerPool<TcpStream>>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -110,16 +110,22 @@ impl Server {
         let ctx = Arc::new(Ctx {
             manager: Arc::new(RunManager::new(config.run_workers, config.run_depth)),
             sweeps: SweepManager::default(),
-            pool: ThreadPool::new(config.handler_workers, config.handler_backlog),
             shutting_down: Arc::new(AtomicBool::new(false)),
             local_addr,
         });
-        let accept_ctx = Arc::clone(&ctx);
+        let handler_ctx = Arc::clone(&ctx);
+        let pool = Arc::new(WorkerPool::new(
+            "xui-serve-worker",
+            config.handler_workers,
+            config.handler_backlog,
+            move |stream| handle_connection(&handler_ctx, stream),
+        ));
+        let (accept_ctx, accept_pool) = (Arc::clone(&ctx), Arc::clone(&pool));
         let accept = std::thread::Builder::new()
             .name("xui-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_ctx))
+            .spawn(move || accept_loop(&listener, &accept_ctx, &accept_pool))
             .expect("spawn accept loop");
-        Ok(Self { ctx, accept: Some(accept) })
+        Ok(Self { ctx, pool, accept: Some(accept) })
     }
 
     /// The bound address (with the actual port when 0 was requested).
@@ -158,9 +164,10 @@ impl Server {
         // closes their hubs, which is what ends the SSE handlers still
         // occupying pool workers. Sweep monitors wait on those runs, so
         // they join right after, before the handler pool drains.
+        // Connections still waiting for a handler close unanswered.
         self.ctx.manager.shutdown();
         self.ctx.sweeps.shutdown();
-        self.ctx.pool.shutdown();
+        drop(self.pool.shutdown());
     }
 }
 
@@ -171,22 +178,18 @@ fn request_shutdown(ctx: &Ctx) {
     let _ = TcpStream::connect(ctx.local_addr);
 }
 
-fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
+fn accept_loop(listener: &TcpListener, ctx: &Ctx, pool: &WorkerPool<TcpStream>) {
     for stream in listener.incoming() {
         if ctx.shutting_down.load(Ordering::Relaxed) {
             break;
         }
-        let Ok(mut stream) = stream else { continue };
-        // The accept thread is the pool's only submitter, so this check
-        // cannot race another enqueue: shed load here with a `503`
+        let Ok(stream) = stream else { continue };
+        // A full backlog hands the stream back: shed load with a `503`
         // instead of queueing unboundedly.
-        if !ctx.pool.has_capacity() {
+        if let Err(mut stream) = pool.submit(stream) {
             let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
             let _ = Response::error(503, "server overloaded, try again").write_to(&mut stream);
-            continue;
         }
-        let job_ctx = Arc::clone(ctx);
-        let _ = ctx.pool.execute(move || handle_connection(&job_ctx, stream));
     }
 }
 

@@ -3,9 +3,9 @@
 //! Each [`StreamItem`] becomes one SSE frame:
 //!
 //! - a telemetry [`Event`](xui_telemetry::Event) renders as
-//!   `event: telemetry` with the exact single-line JSON the JSONL
-//!   recorder would have written for it, so a streaming client and an
-//!   offline trace agree on the representation;
+//!   `event: telemetry` with the exact single-line JSON of
+//!   [`xui_telemetry::event_json_line`], so every consumer of that
+//!   line format agrees on the representation;
 //! - a [`StreamItem::Snapshot`] renders as `event: <kind>` (`metrics`,
 //!   `state`, `artifact`) with its pre-serialized compact JSON payload;
 //! - the stream ends with one `event: end` frame carrying the

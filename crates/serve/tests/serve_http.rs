@@ -5,7 +5,8 @@
 //! offline runner's output no matter how many clients watched, with
 //! loss visible only in the explicit `dropped_events` accounting.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use xui_scenario::{registry, runner, RunOptions};
@@ -222,6 +223,63 @@ fn nine_subscribers_one_slow_artifacts_stay_byte_identical() {
     assert_eq!(status, 404);
 
     server.shutdown();
+}
+
+/// Opens a connection and sends one request on it, without reading.
+fn send_request(addr: SocketAddr, path: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: xui\r\nContent-Length: 0\r\n\r\n")
+        .expect("request sent");
+    stream
+}
+
+/// One handler worker parked on a live SSE stream and the one backlog
+/// slot taken: the accept loop answers the next connection `503`
+/// itself, and a shutdown in that state still ends the stream with its
+/// `end` frame and returns.
+#[test]
+fn full_handler_backlog_sheds_with_503_and_drains() {
+    let server = Server::start(&ServeConfig {
+        handler_workers: 1,
+        handler_backlog: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts on an ephemeral port");
+    let addr = server.local_addr();
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        "/api/runs",
+        Some(&format!("{{\"scenario\":{SCENARIO:?},\"hold_ms\":2000}}")),
+    )
+    .expect("submit completes");
+    assert_eq!(status, 202, "{body}");
+
+    // The stream head arrives once the only worker owns the stream.
+    let mut stream = send_request(addr, &field_str(&body, "events"));
+    let mut head = [0u8; 15];
+    stream.read_exact(&mut head).expect("stream head");
+    assert_eq!(&head, b"HTTP/1.1 200 OK");
+
+    // The accept loop takes connections in order: this one fills the
+    // backlog, so the next is shed before it even sends a request.
+    let mut waiting = send_request(addr, "/api/healthz");
+    let mut shed = TcpStream::connect(addr).expect("connects");
+    shed.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let mut raw = String::new();
+    shed.read_to_string(&mut raw).expect("shed response");
+    assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
+    assert!(raw.contains("server overloaded, try again"), "{raw}");
+
+    server.shutdown();
+    let mut rest = String::new();
+    stream.read_to_string(&mut rest).expect("stream ends");
+    assert!(rest.contains("event: end"), "{rest}");
+    // The backlogged connection is answered or closed, never left hanging.
+    let mut raw = String::new();
+    waiting.read_to_string(&mut raw).expect("backlogged connection ends");
+    assert!(raw.is_empty() || raw.starts_with("HTTP/1.1 200"), "{raw}");
 }
 
 #[test]

@@ -65,7 +65,42 @@ mod tests {
     use xui_des::engine::Engine;
 
     use super::*;
+    use crate::event::{Event, Phase};
     use crate::recorder::RingRecorder;
+
+    /// Counts events per phase without storing them: these tests only
+    /// need volume.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct CountingRecorder {
+        total: u64,
+        begins: u64,
+        ends: u64,
+        instants: u64,
+        counters: u64,
+    }
+
+    impl Recorder for CountingRecorder {
+        fn record(&mut self, ev: Event) {
+            self.total += 1;
+            match ev.phase {
+                Phase::Begin => self.begins += 1,
+                Phase::End => self.ends += 1,
+                Phase::Instant => self.instants += 1,
+                Phase::Counter => self.counters += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn counting_recorder_tallies_phases() {
+        let mut r = CountingRecorder::default();
+        r.begin(1, 0, "s");
+        r.end(2, 0, "s");
+        r.instant(3, 0, "i");
+        r.counter(4, 0, "c", 1);
+        assert_eq!(r.total, 4);
+        assert_eq!((r.begins, r.ends, r.instants, r.counters), (1, 1, 1, 1));
+    }
 
     #[test]
     fn probe_records_engine_lifecycle() {
@@ -105,7 +140,7 @@ mod tests {
         use xui_des::QueueKind;
 
         let drive = |kind: QueueKind| {
-            let counts = Rc::new(RefCell::new(crate::recorder::CountingRecorder::default()));
+            let counts = Rc::new(RefCell::new(CountingRecorder::default()));
             let mut engine: Engine<u64> = Engine::with_queue(kind);
             engine.set_queue_activation(0);
             engine.set_probe(Box::new(DesProbe::new(Rc::clone(&counts), 0)));

@@ -50,6 +50,4 @@ pub use chrome::{trace_json, trace_json_grouped, validate, TraceCheck, TraceGrou
 pub use des_probe::DesProbe;
 pub use event::{Args, Event, Phase, MAX_ARGS};
 pub use metrics::{Gauge, MetricsShard, MetricsSnapshot, Registry};
-pub use recorder::{
-    event_json_line, CountingRecorder, JsonlRecorder, NullRecorder, Recorder, RingRecorder,
-};
+pub use recorder::{event_json_line, NullRecorder, Recorder, RingRecorder};

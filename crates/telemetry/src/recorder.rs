@@ -5,11 +5,7 @@
 //! a compile-time constant `false` and every `record` call inlines to a
 //! no-op. The hotpath benches verify the overhead stays ≤1%.
 
-use std::fs;
-use std::io;
-use std::path::Path;
-
-use crate::event::{Event, Phase};
+use crate::event::Event;
 
 /// A sink for telemetry events.
 ///
@@ -170,54 +166,6 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// A recorder that renders each event as one line of JSON (JSONL), for
-/// streaming inspection with line-oriented tools. Lines accumulate in
-/// memory; call [`JsonlRecorder::write_to`] to persist them.
-#[derive(Debug, Clone, Default)]
-pub struct JsonlRecorder {
-    lines: Vec<String>,
-}
-
-impl JsonlRecorder {
-    /// Creates an empty JSONL recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of recorded lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// True if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// The accumulated JSONL document (one event per line, trailing
-    /// newline included when non-empty).
-    #[must_use]
-    pub fn as_jsonl(&self) -> String {
-        let mut out = self.lines.join("\n");
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the accumulated lines to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.as_jsonl())
-    }
-}
-
 /// Renders one event as a single JSON line.
 #[must_use]
 pub fn event_json_line(ev: &Event) -> String {
@@ -270,41 +218,6 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-impl Recorder for JsonlRecorder {
-    fn record(&mut self, ev: Event) {
-        self.lines.push(event_json_line(&ev));
-    }
-}
-
-/// Counts events per phase without storing them — used by overhead
-/// measurements and tests that only need volume.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingRecorder {
-    /// Total events seen.
-    pub total: u64,
-    /// Span-open events.
-    pub begins: u64,
-    /// Span-close events.
-    pub ends: u64,
-    /// Point events.
-    pub instants: u64,
-    /// Counter samples.
-    pub counters: u64,
-}
-
-impl Recorder for CountingRecorder {
-    #[inline]
-    fn record(&mut self, ev: Event) {
-        self.total += 1;
-        match ev.phase {
-            Phase::Begin => self.begins += 1,
-            Phase::End => self.ends += 1,
-            Phase::Instant => self.instants += 1,
-            Phase::Counter => self.counters += 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,29 +259,13 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_json() {
-        let mut r = JsonlRecorder::new();
-        r.record(Event::begin(5, 2, "span").with_arg("k", 7));
-        r.instant(6, 2, "i");
-        let doc = r.as_jsonl();
-        assert_eq!(r.len(), 2);
-        assert!(doc.ends_with('\n'));
-        assert_eq!(
-            doc.lines().next().unwrap(),
-            r#"{"ts":5,"actor":2,"ph":"B","name":"span","args":{"k":7}}"#
-        );
-        for line in doc.lines() {
+        let lines = [
+            event_json_line(&Event::begin(5, 2, "span").with_arg("k", 7)),
+            event_json_line(&Event::instant(6, 2, "i")),
+        ];
+        assert_eq!(lines[0], r#"{"ts":5,"actor":2,"ph":"B","name":"span","args":{"k":7}}"#);
+        for line in &lines {
             crate::json::parse(line).expect("each line parses as JSON");
         }
-    }
-
-    #[test]
-    fn counting_recorder_tallies_phases() {
-        let mut r = CountingRecorder::default();
-        r.begin(1, 0, "s");
-        r.end(2, 0, "s");
-        r.instant(3, 0, "i");
-        r.counter(4, 0, "c", 1);
-        assert_eq!(r.total, 4);
-        assert_eq!((r.begins, r.ends, r.instants, r.counters), (1, 1, 1, 1));
     }
 }

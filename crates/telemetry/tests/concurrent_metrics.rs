@@ -6,7 +6,7 @@
 //!    aggregation depends only on shard *index*, never on timing.
 //! 2. **Broadcasting is a pure tee**: wrapping a recorder in a
 //!    [`BroadcastRecorder`] — with any mix of fast, slow, and
-//!    abandoned subscribers — leaves the recorded byte stream
+//!    abandoned subscribers — leaves the recorded event stream
 //!    identical, and every published item is accounted for as either
 //!    delivered or dropped on each subscriber.
 
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use xui_telemetry::recorder::{JsonlRecorder, Recorder};
+use xui_telemetry::recorder::{Recorder, RingRecorder};
 use xui_telemetry::{BroadcastHub, BroadcastRecorder, Event, MetricsShard, Registry};
 
 const SHARDS: usize = 4;
@@ -100,7 +100,7 @@ proptest! {
         };
 
         // Reference: the bare recorder.
-        let mut plain = JsonlRecorder::new();
+        let mut plain = RingRecorder::new(events.len());
         for &e in &events {
             plain.record(build(e));
         }
@@ -112,12 +112,12 @@ proptest! {
         let fast = hub.subscribe(events.len() + 1);
         let slow = hub.subscribe(slow_cap);
         drop(hub.subscribe(8));
-        let mut teed = BroadcastRecorder::new(JsonlRecorder::new(), hub);
+        let mut teed = BroadcastRecorder::new(RingRecorder::new(events.len()), hub);
         for &e in &events {
             teed.record(build(e));
         }
 
-        prop_assert_eq!(teed.inner().as_jsonl(), plain.as_jsonl());
+        prop_assert_eq!(teed.inner().events(), plain.events());
 
         let total = events.len() as u64;
         for sub in [&fast, &slow] {
