@@ -16,7 +16,7 @@ use xui_des::stats::Histogram;
 use xui_kernel::{PreemptMechanism, TimeSource, TimerCoreSim};
 use xui_net::lpm::Lpm;
 use xui_net::traffic::paper_route_table;
-use xui_oracle::{check, Schedule};
+use xui_oracle::{check, Event, ForwardLine, Schedule};
 use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
@@ -241,6 +241,35 @@ fn bench_oracle_check(c: &mut Criterion) {
     });
 }
 
+fn bench_oracle_check_enospc_shared(c: &mut Criterion) {
+    // One hand-written schedule on the kernel's shared-table paths: a
+    // co-sender sharing the sender's UITT, its teardown, and eight
+    // fill-to-ENOSPC-then-free rounds between sends and deliveries.
+    let mut events = vec![Event::Schedule { core: 1 }, Event::ShareUitt { uv: 3 }];
+    for round in 0..8u8 {
+        events.push(Event::RegisterUntilEnospc);
+        events.push(Event::Send { uv: [3, 7, 12][usize::from(round % 3)] });
+        events.push(Event::Deliver);
+        if round == 3 {
+            events.push(Event::TeardownShared);
+        }
+        events.push(Event::ShareUitt { uv: 7 });
+    }
+    events.push(Event::Deschedule);
+    let schedule = Schedule {
+        seed: 0,
+        cores: 3,
+        send_vectors: vec![3, 7, 12],
+        timer_vector: None,
+        forwarded: vec![ForwardLine { vector: 40, uv: 20 }],
+        events,
+    };
+    assert!(check(&schedule).is_none(), "the fixed schedule agrees across models");
+    c.bench_function("oracle_check_enospc_shared", |b| {
+        b.iter(|| check(black_box(&schedule)).is_some())
+    });
+}
+
 fn bench_cycle_sim_senduipi(c: &mut Criterion) {
     // Whole-pipeline cost of simulating one senduipi round trip.
     let sender = Program::new(
@@ -315,7 +344,8 @@ criterion_group! {
     targets = bench_lpm_lookup, bench_lpm_build, bench_server_point, bench_event_engine,
               bench_event_engine_churn, bench_histogram, bench_pipeline, bench_pipeline_full_rob,
               bench_pipeline_pointer_chase, bench_pipeline_spin_replay,
-              bench_protocol_send_deliver, bench_oracle_check, bench_cycle_sim_senduipi, bench_halted_bulk_skip,
+              bench_protocol_send_deliver, bench_oracle_check, bench_oracle_check_enospc_shared,
+              bench_cycle_sim_senduipi, bench_halted_bulk_skip,
               bench_timer_core_null_telemetry
 }
 criterion_main!(benches);

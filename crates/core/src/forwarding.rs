@@ -186,6 +186,15 @@ impl ApicForwarding {
         }
     }
 
+    /// Returns to the state [`ApicForwarding::new`] builds (nothing
+    /// forwarded), keeping the map's capacity.
+    pub fn reset(&mut self) {
+        let Self { enabled, active, map } = self;
+        *enabled = VectorBitmap::new();
+        *active = VectorBitmap::new();
+        map.clear();
+    }
+
     /// Kernel side: maps a conventional vector to a user vector and
     /// enables forwarding for it.
     ///

@@ -48,6 +48,7 @@ pub mod forwarding;
 pub mod kb_timer;
 pub mod model;
 pub mod receiver;
+pub mod recycle;
 pub mod safepoint;
 pub mod sender;
 pub mod uif;

@@ -9,8 +9,6 @@
 //! invents interrupts across arbitrary interleavings of sends, context
 //! switches, migrations and deliveries.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use xui_uipi_abi::Upid;
 
@@ -18,6 +16,7 @@ use crate::error::XuiError;
 use crate::forwarding::{ApicForwarding, Dupid, ForwardDecision, VectorBitmap};
 use crate::kb_timer::{KbTimer, TimerMode};
 use crate::receiver::{notification_processing, ReceiverState};
+use crate::recycle::Recycled;
 use crate::sender::{senduipi, MapUpidMemory};
 use crate::uitt::{Uitt, UittIndex, UpidAddr};
 use crate::vectors::{ApicId, UserVector, Vector};
@@ -34,7 +33,7 @@ pub struct ThreadId(pub usize);
 )]
 pub struct CoreId(pub usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ThreadState {
     upid_addr: Option<UpidAddr>,
     receiver: ReceiverState,
@@ -47,12 +46,50 @@ struct ThreadState {
     delivered: Vec<UserVector>,
 }
 
-#[derive(Debug, Clone)]
+impl ThreadState {
+    /// A new, unscheduled thread with no handler and an empty UITT;
+    /// buffers keep their capacity.
+    fn reset(&mut self) {
+        let Self {
+            upid_addr,
+            receiver,
+            uitt,
+            running_on,
+            dupid,
+            saved_active,
+            saved_timer,
+            kb_timer_enabled,
+            delivered,
+        } = self;
+        *upid_addr = None;
+        receiver.reset(0);
+        uitt.clear();
+        *running_on = None;
+        *dupid = Dupid::new();
+        *saved_active = VectorBitmap::new();
+        *saved_timer = None;
+        *kb_timer_enabled = None;
+        delivered.clear();
+    }
+}
+
+#[derive(Debug, Clone, Default, PartialEq)]
 struct CoreState {
     apic_id: ApicId,
     current: Option<ThreadId>,
     forwarding: ApicForwarding,
     kb_timer: KbTimer,
+}
+
+impl CoreState {
+    /// Idle core `index`: nothing forwarded, timer disabled.
+    fn reset(&mut self, index: usize) {
+        let Self { apic_id, current, forwarding, kb_timer } = self;
+        *apic_id = ApicId::new(index as u32);
+        *current = None;
+        forwarding.reset();
+        *kb_timer = KbTimer::new();
+    }
 }
 
 /// The whole-system protocol model.
@@ -76,16 +113,18 @@ struct CoreState {
 /// assert_eq!(delivered, vec![UserVector::new(3)?]);
 /// # Ok::<(), xui_core::error::XuiError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolModel {
     mem: MapUpidMemory,
-    threads: Vec<ThreadState>,
-    cores: Vec<CoreState>,
+    threads: Recycled<ThreadState>,
+    cores: Recycled<CoreState>,
     next_upid_addr: u64,
     /// The conventional vector the kernel assigned for UIPI notifications
     /// (the `UINV` MSR value).
     pub uinv: Vector,
-    forward_owner: HashMap<(usize, u8), ThreadId>,
+    /// The thread registered for each forwarded `(core, vector)`, sorted
+    /// by key: at most a few lines per core.
+    forward_owner: Vec<((usize, u8), ThreadId)>,
     now: u64,
 }
 
@@ -93,22 +132,35 @@ impl ProtocolModel {
     /// Creates a model with `core_count` idle cores.
     #[must_use]
     pub fn new(core_count: usize) -> Self {
-        Self {
+        let mut model = Self {
             mem: MapUpidMemory::new(),
-            threads: Vec::new(),
-            cores: (0..core_count)
-                .map(|i| CoreState {
-                    apic_id: ApicId::new(i as u32),
-                    current: None,
-                    forwarding: ApicForwarding::new(),
-                    kb_timer: KbTimer::new(),
-                })
-                .collect(),
-            next_upid_addr: 0x1000,
-            uinv: Vector::new(0xec),
-            forward_owner: HashMap::new(),
+            threads: Recycled::new(),
+            cores: Recycled::new(),
+            next_upid_addr: 0,
+            uinv: Vector::new(0),
+            forward_owner: Vec::new(),
             now: 0,
+        };
+        model.reset(core_count);
+        model
+    }
+
+    /// Returns the model to the state [`ProtocolModel::new`] builds for
+    /// `core_count` cores: no threads, no descriptors, nothing forwarded,
+    /// time zero. Every buffer keeps its capacity, so rebuilding the same
+    /// set-up after a reset allocates nothing.
+    pub fn reset(&mut self, core_count: usize) {
+        let Self { mem, threads, cores, next_upid_addr, uinv, forward_owner, now } = self;
+        mem.clear();
+        threads.clear();
+        cores.clear();
+        for i in 0..core_count {
+            cores.push_reset(|c| c.reset(i));
         }
+        *next_upid_addr = 0x1000;
+        *uinv = Vector::new(0xec);
+        forward_owner.clear();
+        *now = 0;
     }
 
     /// Number of cores.
@@ -125,17 +177,7 @@ impl ProtocolModel {
 
     /// Creates a new, unscheduled thread.
     pub fn create_thread(&mut self) -> ThreadId {
-        self.threads.push(ThreadState {
-            upid_addr: None,
-            receiver: ReceiverState::new(0),
-            uitt: Uitt::new(),
-            running_on: None,
-            dupid: Dupid::new(),
-            saved_active: VectorBitmap::new(),
-            saved_timer: None,
-            kb_timer_enabled: None,
-            delivered: Vec::new(),
-        });
+        self.threads.push_reset(ThreadState::reset);
         ThreadId(self.threads.len() - 1)
     }
 
@@ -200,7 +242,7 @@ impl ProtocolModel {
         self.mem.insert(addr, upid);
         let thread = self.thread_mut(tid)?;
         thread.upid_addr = Some(addr);
-        thread.receiver = ReceiverState::new(handler);
+        thread.receiver.reset(handler);
         thread.receiver.uif.stui();
         Ok(())
     }
@@ -464,7 +506,11 @@ impl ProtocolModel {
             .get_mut(core.0)
             .ok_or(XuiError::UnknownCore { core: core.0 })?;
         core_state.forwarding.map(vector, uv)?;
-        self.forward_owner.insert((core.0, vector.as_u8()), tid);
+        let key = (core.0, vector.as_u8());
+        match self.forward_owner.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.forward_owner[i].1 = tid,
+            Err(i) => self.forward_owner.insert(i, (key, tid)),
+        }
         // If the registering thread is currently running there, its
         // active bit is set immediately; otherwise it is loaded from the
         // saved bitmap on its next resume.
@@ -502,7 +548,9 @@ impl ProtocolModel {
                 self.threads[tid.0].receiver.uirr.post(uv);
             }
             ForwardDecision::SlowPath(uv) => {
-                if let Some(&tid) = self.forward_owner.get(&(core.0, vector.as_u8())) {
+                let key = (core.0, vector.as_u8());
+                if let Ok(i) = self.forward_owner.binary_search_by_key(&key, |&(k, _)| k) {
+                    let tid = self.forward_owner[i].1;
                     self.threads[tid.0].dupid.post(uv);
                 }
             }
@@ -514,7 +562,7 @@ impl ProtocolModel {
     /// posting its vector to the thread running on that core.
     pub fn advance_time(&mut self, to: u64) {
         self.now = self.now.max(to);
-        for core in &mut self.cores {
+        for core in self.cores.iter_mut() {
             if let (Some(tid), Some(uv)) = (core.current, core.kb_timer.poll(self.now)) {
                 self.threads[tid.0].receiver.uirr.post(uv);
             }
@@ -728,6 +776,48 @@ mod tests {
         let mut sys = ProtocolModel::new(1);
         let d = sys.device_interrupt(CoreId(0), Vector::new(9)).unwrap();
         assert_eq!(d, ForwardDecision::Legacy);
+    }
+
+    /// The oracle differ's set-up: a receiver, send lanes, a KB_Timer
+    /// and a forwarded line on every core.
+    fn differ_setup(sys: &mut ProtocolModel, cores: usize) {
+        let sender = sys.create_thread();
+        let receiver = sys.create_thread();
+        sys.register_handler(receiver, 0x4000).unwrap();
+        for v in [3, 7, 12] {
+            sys.register_sender(sender, receiver, uv(v)).unwrap();
+        }
+        sys.enable_kb_timer(receiver, uv(1)).unwrap();
+        for core in 0..cores {
+            sys.register_forwarding(receiver, CoreId(core), Vector::new(40), uv(20)).unwrap();
+        }
+        sys.schedule(sender, CoreId(0)).unwrap();
+    }
+
+    #[test]
+    fn setup_after_reset_equals_a_fresh_model() {
+        let mut sys = ProtocolModel::new(4);
+        // A history that leaves something behind in every field.
+        differ_setup(&mut sys, 4);
+        let extra = sys.create_thread();
+        sys.register_handler(extra, 0x10).unwrap();
+        sys.uinv = Vector::new(0x20);
+        sys.schedule(ThreadId(1), CoreId(2)).unwrap();
+        sys.set_timer(ThreadId(1), 100, TimerMode::Periodic).unwrap();
+        sys.advance_time(1_000);
+        sys.senduipi(ThreadId(0), UittIndex(1)).unwrap();
+        sys.run_pending(ThreadId(1)).unwrap();
+        sys.deschedule(CoreId(2)).unwrap();
+        sys.device_interrupt(CoreId(3), Vector::new(40)).unwrap();
+        for cores in [2, 4] {
+            sys.reset(cores);
+            assert_eq!(sys, ProtocolModel::new(cores));
+            differ_setup(&mut sys, cores);
+            let mut fresh = ProtocolModel::new(cores);
+            differ_setup(&mut fresh, cores);
+            assert_eq!(sys, fresh);
+            assert_eq!(format!("{sys:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]

@@ -105,12 +105,19 @@ impl ReceiverState {
     /// `uif.stui()` to enable delivery.
     #[must_use]
     pub fn new(handler: u64) -> Self {
-        Self {
-            handler,
-            uif: Uif::clear(),
-            uirr: Uirr::new(),
-            frames: Vec::new(),
-        }
+        let mut state = Self::default();
+        state.reset(handler);
+        state
+    }
+
+    /// Returns to the state [`ReceiverState::new`] builds, keeping the
+    /// frame stack's capacity.
+    pub fn reset(&mut self, handler: u64) {
+        let Self { handler: h, uif, uirr, frames } = self;
+        *h = handler;
+        *uif = Uif::clear();
+        *uirr = Uirr::new();
+        frames.clear();
     }
 
     /// True if a user interrupt would be delivered right now

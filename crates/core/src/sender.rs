@@ -110,6 +110,11 @@ impl MapUpidMemory {
         Ok(&mut self.entries[i].1)
     }
 
+    /// Unmaps every descriptor, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Number of mapped descriptors.
     #[must_use]
     pub fn len(&self) -> usize {

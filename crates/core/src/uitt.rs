@@ -113,6 +113,11 @@ impl Uitt {
         }
     }
 
+    /// Removes every slot, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Number of slots in the table (valid or not).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use xui_core::kb_timer::TimerMode;
 use xui_core::model::{CoreId, ProtocolModel, ThreadId};
+use xui_core::recycle::Recycled;
 use xui_core::uitt::{UittIndex, UpidAddr};
 use xui_core::vectors::{UserVector, Vector};
 use xui_uipi_abi::IndexAllocator;
@@ -123,49 +124,67 @@ pub struct SendOutcome {
 /// assert!(k.accounting().syscall_cycles > 0);
 /// # Ok::<(), xui_kernel::KernelError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UintrKernel {
     model: ProtocolModel,
     costs: SyscallCosts,
     os: OsCosts,
     acct: UintrAccounting,
-    /// Per-thread: has `register_handler` run (and not been torn down)?
-    handler_registered: Vec<bool>,
-    /// Per-thread: has the thread been torn down?
-    torn_down: Vec<bool>,
+    /// The kernel's own record of each thread, indexed by `ThreadId`.
+    threads: Vec<KernelThread>,
     /// Kernel's own run-queue view: which thread occupies each core.
     running: Vec<Option<ThreadId>>,
     /// Bitmap allocator over the UPID pool (receiver-side slots).
     upid_alloc: IndexAllocator,
-    /// Per-thread: the UPID-pool slot backing its descriptor.
-    upid_slot: Vec<Option<usize>>,
     /// Per-table UITT capacity used when a thread's table is created.
     uitt_slots: usize,
     /// Every UITT the kernel manages; refcounted by `members`.
-    tables: Vec<SharedUitt>,
-    /// Per-thread: index into `tables` of the UITT it uses, if any.
-    table_of: Vec<Option<usize>>,
+    tables: Recycled<SharedUitt>,
+}
+
+/// What the kernel records about one thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct KernelThread {
+    /// Has `register_handler` run (and not been torn down)?
+    handler_registered: bool,
+    /// Has the thread been torn down?
+    torn_down: bool,
+    /// The UPID-pool slot backing its descriptor.
+    upid_slot: Option<usize>,
+    /// Index into `tables` of the UITT it uses, if any.
+    table: Option<usize>,
 }
 
 /// One registered route in a (possibly shared) UITT. Routes whose
 /// receiver has been torn down are kept as tombstones — their allocator
 /// slot is freed and the entry invalidated, but the send path still
 /// reports [`KernelError::ThreadTornDown`] until the slot is reused.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Route {
-    index: UittIndex,
     receiver: ThreadId,
     vector: UserVector,
 }
 
 /// A refcounted UITT shared by every thread in `members`: the bitmap
 /// allocator hands out slots, and registrations are mirrored into each
-/// member's architectural table at the same index.
-#[derive(Debug, Clone)]
+/// member's architectural table at the same index. `routes` has one
+/// entry per slot: the live route, a tombstone, or `None`.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SharedUitt {
     alloc: IndexAllocator,
     members: Vec<ThreadId>,
-    routes: Vec<Route>,
+    routes: Vec<Option<Route>>,
+}
+
+impl SharedUitt {
+    /// An empty table of `slots` entries, keeping the buffers' capacity.
+    fn reset(&mut self, slots: usize) {
+        let Self { alloc, members, routes } = self;
+        alloc.reset(slots);
+        members.clear();
+        routes.clear();
+        routes.resize(slots, None);
+    }
 }
 
 impl UintrKernel {
@@ -180,20 +199,45 @@ impl UintrKernel {
     /// (the `ENOSPC` paths trigger when either fills up).
     #[must_use]
     pub fn with_capacities(cores: usize, upid_slots: usize, uitt_slots: usize) -> Self {
-        Self {
-            model: ProtocolModel::new(cores),
+        let mut kernel = Self {
+            model: ProtocolModel::new(0),
             costs: SyscallCosts::paper(),
             os: OsCosts::paper(),
             acct: UintrAccounting::default(),
-            handler_registered: Vec::new(),
-            torn_down: Vec::new(),
-            running: vec![None; cores],
+            threads: Vec::new(),
+            running: Vec::new(),
             upid_alloc: IndexAllocator::new(upid_slots),
-            upid_slot: Vec::new(),
             uitt_slots,
-            tables: Vec::new(),
-            table_of: Vec::new(),
-        }
+            tables: Recycled::new(),
+        };
+        kernel.reset(cores);
+        kernel
+    }
+
+    /// Returns the kernel to the state [`UintrKernel::with_capacities`]
+    /// builds for `cores` cores, with the UPID-pool and UITT capacities
+    /// and the costs it was built with: no threads, no tables, nothing
+    /// charged. Every buffer keeps its capacity, so rebuilding the same
+    /// set-up after a reset allocates nothing.
+    pub fn reset(&mut self, cores: usize) {
+        let Self {
+            model,
+            costs: _,
+            os: _,
+            acct,
+            threads,
+            running,
+            upid_alloc,
+            uitt_slots: _,
+            tables,
+        } = self;
+        model.reset(cores);
+        *acct = UintrAccounting::default();
+        threads.clear();
+        running.clear();
+        running.resize(cores, None);
+        upid_alloc.reset(upid_alloc.capacity());
+        tables.clear();
     }
 
     /// The cycle accounting so far.
@@ -214,43 +258,43 @@ impl UintrKernel {
     }
 
     fn check_live(&self, tid: ThreadId) -> Result<(), KernelError> {
-        if self.torn_down.get(tid.0).copied().unwrap_or(false) {
+        if self.is_torn_down(tid) {
             return Err(KernelError::ThreadTornDown { thread: tid.0 });
         }
         Ok(())
     }
 
+    /// The table `tid` uses, if any.
+    fn table_of(&self, tid: ThreadId) -> Option<usize> {
+        self.threads.get(tid.0).and_then(|t| t.table)
+    }
+
     /// Creates a thread (no syscall charged: part of thread spawn).
     pub fn create_thread(&mut self) -> ThreadId {
         let tid = self.model.create_thread();
-        if self.handler_registered.len() <= tid.0 {
-            self.handler_registered.resize(tid.0 + 1, false);
-            self.torn_down.resize(tid.0 + 1, false);
-            self.upid_slot.resize(tid.0 + 1, None);
-            self.table_of.resize(tid.0 + 1, None);
+        if self.threads.len() <= tid.0 {
+            self.threads.resize(tid.0 + 1, KernelThread::default());
         }
         tid
     }
 
     /// The table `tid` uses, creating an empty one when it has none yet.
     fn table_for(&mut self, tid: ThreadId) -> usize {
-        if let Some(t) = self.table_of.get(tid.0).copied().flatten() {
+        if let Some(t) = self.table_of(tid) {
             return t;
         }
-        self.tables.push(SharedUitt {
-            alloc: IndexAllocator::new(self.uitt_slots),
-            members: vec![tid],
-            routes: Vec::new(),
-        });
+        let slots = self.uitt_slots;
+        self.tables.push_reset(|table| table.reset(slots)).members.push(tid);
         let t = self.tables.len() - 1;
-        self.table_of[tid.0] = Some(t);
+        self.threads[tid.0].table = Some(t);
         t
     }
 
-    /// Receiver behind `sender`'s route at `index`, if one is recorded.
+    /// Receiver behind `sender`'s route at `index`, if one is recorded
+    /// (live or tombstoned).
     fn route_receiver(&self, sender: ThreadId, index: UittIndex) -> Option<ThreadId> {
-        let t = self.table_of.get(sender.0).copied().flatten()?;
-        self.tables[t].routes.iter().find(|r| r.index == index).map(|r| r.receiver)
+        let t = self.table_of(sender)?;
+        self.tables[t].routes.get(index.0).copied().flatten().map(|r| r.receiver)
     }
 
     /// `register_handler(...)` system call: picks a UPID-pool slot with
@@ -265,7 +309,7 @@ impl UintrKernel {
     /// slot is taken (`ENOSPC`); architectural failures are wrapped.
     pub fn register_handler(&mut self, tid: ThreadId, handler: u64) -> Result<(), KernelError> {
         self.check_live(tid)?;
-        if self.handler_registered.get(tid.0).copied().unwrap_or(false) {
+        if self.threads.get(tid.0).is_some_and(|t| t.handler_registered) {
             return Err(KernelError::HandlerAlreadyRegistered { thread: tid.0 });
         }
         let Some(slot) = self.upid_alloc.allocate() else {
@@ -277,8 +321,8 @@ impl UintrKernel {
             self.upid_alloc.release(slot);
             return Err(e.into());
         }
-        self.upid_slot[tid.0] = Some(slot);
-        self.handler_registered[tid.0] = true;
+        self.threads[tid.0].upid_slot = Some(slot);
+        self.threads[tid.0].handler_registered = true;
         Ok(())
     }
 
@@ -313,11 +357,11 @@ impl UintrKernel {
         let idx = UittIndex(slot);
         // A reused slot replaces any tombstone left by a torn-down
         // receiver.
-        self.tables[t].routes.retain(|r| r.index != idx);
+        self.tables[t].routes[slot] = None;
         for &m in &self.tables[t].members {
             self.model.register_sender_at(m, receiver, uv, idx)?;
         }
-        self.tables[t].routes.push(Route { index: idx, receiver, vector: uv });
+        self.tables[t].routes[slot] = Some(Route { receiver, vector: uv });
         Ok(idx)
     }
 
@@ -336,24 +380,21 @@ impl UintrKernel {
     pub fn share_uitt(&mut self, owner: ThreadId, joiner: ThreadId) -> Result<(), KernelError> {
         self.check_live(owner)?;
         self.check_live(joiner)?;
-        if owner == joiner || self.table_of.get(joiner.0).copied().flatten().is_some() {
+        if owner == joiner || self.table_of(joiner).is_some() {
             return Err(KernelError::AlreadyHasUitt { thread: joiner.0 });
         }
         let t = self.table_for(owner);
         self.syscall(self.costs.register_sender);
         // Clone-on-register: mirror the live routes (tombstones have
         // their slot freed and are skipped) into the joiner's table.
-        let live: Vec<Route> = self.tables[t]
-            .routes
-            .iter()
-            .filter(|r| self.tables[t].alloc.is_allocated(r.index.0))
-            .cloned()
-            .collect();
-        for r in live {
-            self.model.register_sender_at(joiner, r.receiver, r.vector, r.index)?;
+        let table = &self.tables[t];
+        for (slot, route) in table.routes.iter().enumerate() {
+            if let (Some(r), true) = (route, table.alloc.is_allocated(slot)) {
+                self.model.register_sender_at(joiner, r.receiver, r.vector, UittIndex(slot))?;
+            }
         }
         self.tables[t].members.push(joiner);
-        self.table_of[joiner.0] = Some(t);
+        self.threads[joiner.0].table = Some(t);
         Ok(())
     }
 
@@ -373,10 +414,7 @@ impl UintrKernel {
     ) -> Result<(), KernelError> {
         self.check_live(sender)?;
         let t = self
-            .table_of
-            .get(sender.0)
-            .copied()
-            .flatten()
+            .table_of(sender)
             .filter(|&t| self.tables[t].alloc.is_allocated(index.0))
             .ok_or(KernelError::Arch(xui_core::XuiError::InvalidUittIndex {
                 index: index.0,
@@ -386,7 +424,7 @@ impl UintrKernel {
             self.model.invalidate_sender(m, index)?;
         }
         self.tables[t].alloc.release(index.0);
-        self.tables[t].routes.retain(|r| r.index != index);
+        self.tables[t].routes[index.0] = None;
         Ok(())
     }
 
@@ -466,7 +504,7 @@ impl UintrKernel {
     /// architectural failures wrapped.
     pub fn teardown_thread(&mut self, tid: ThreadId) -> Result<(), KernelError> {
         self.check_live(tid)?;
-        if tid.0 >= self.torn_down.len() {
+        if tid.0 >= self.threads.len() {
             return Err(KernelError::Arch(xui_core::XuiError::UnknownThread { thread: tid.0 }));
         }
         self.syscall(self.costs.teardown_thread);
@@ -475,7 +513,7 @@ impl UintrKernel {
             self.running[core] = None;
         }
         // Free the thread's UPID-pool slot for reuse.
-        if let Some(slot) = self.upid_slot[tid.0].take() {
+        if let Some(slot) = self.threads[tid.0].upid_slot.take() {
             self.upid_alloc.release(slot);
         }
         // Invalidate every route targeting the thread, in every table:
@@ -483,39 +521,34 @@ impl UintrKernel {
         // in each member's architectural table, and the route stays as a
         // tombstone so sends keep reporting `ThreadTornDown` until the
         // slot is reused.
-        for t in 0..self.tables.len() {
-            let dead: Vec<UittIndex> = self.tables[t]
-                .routes
-                .iter()
-                .filter(|r| r.receiver == tid)
-                .map(|r| r.index)
-                .collect();
-            for idx in dead {
-                self.tables[t].alloc.release(idx.0);
-                for &m in &self.tables[t].members {
-                    let _ = self.model.invalidate_sender(m, idx);
+        for table in self.tables.iter_mut() {
+            for (slot, route) in table.routes.iter().enumerate() {
+                if route.is_some_and(|r| r.receiver == tid) {
+                    table.alloc.release(slot);
+                    for &m in &table.members {
+                        let _ = self.model.invalidate_sender(m, UittIndex(slot));
+                    }
                 }
             }
         }
         // Drop the thread's membership in its own table; when the last
         // member leaves, the whole table is recycled.
-        if let Some(t) = self.table_of[tid.0].take() {
-            self.tables[t].members.retain(|&m| m != tid);
-            if self.tables[t].members.is_empty() {
-                let cap = self.tables[t].alloc.capacity();
-                self.tables[t].routes.clear();
-                self.tables[t].alloc = IndexAllocator::new(cap);
+        if let Some(t) = self.threads[tid.0].table.take() {
+            let table = &mut self.tables[t];
+            table.members.retain(|&m| m != tid);
+            if table.members.is_empty() {
+                table.reset(table.alloc.capacity());
             }
         }
-        self.torn_down[tid.0] = true;
-        self.handler_registered[tid.0] = false;
+        self.threads[tid.0].torn_down = true;
+        self.threads[tid.0].handler_registered = false;
         Ok(())
     }
 
     /// Whether `tid` has been torn down.
     #[must_use]
     pub fn is_torn_down(&self, tid: ThreadId) -> bool {
-        self.torn_down.get(tid.0).copied().unwrap_or(false)
+        self.threads.get(tid.0).is_some_and(|t| t.torn_down)
     }
 
     /// `senduipi` — pure user level, zero kernel cycles.
@@ -962,6 +995,119 @@ mod tests {
         k.schedule(r, CoreId(1)).unwrap();
         k.senduipi(s2, idx).unwrap();
         assert_eq!(k.run_pending(r).unwrap(), vec![uv(5)]);
+    }
+
+    #[test]
+    fn shared_uitt_survives_a_hundred_enospc_fill_and_free_cycles() {
+        const SLOTS: usize = 16;
+        let mut k = UintrKernel::with_capacities(3, 8, SLOTS);
+        let s = k.create_thread();
+        let s2 = k.create_thread();
+        let r = k.create_thread();
+        k.register_handler(r, 0x1).unwrap();
+        let lanes: Vec<(UittIndex, UserVector)> = [1, 2, 3]
+            .into_iter()
+            .map(|v| (k.register_sender(s, r, uv(v)).unwrap(), uv(v)))
+            .collect();
+        k.share_uitt(s, s2).unwrap();
+        k.schedule(s, CoreId(0)).unwrap();
+        k.schedule(s2, CoreId(1)).unwrap();
+        k.schedule(r, CoreId(2)).unwrap();
+        let allocated = |k: &UintrKernel| k.tables[k.table_of(s).unwrap()].alloc.allocated();
+        for cycle in 0..100 {
+            let (filler, other) = if cycle % 2 == 0 { (s, s2) } else { (s2, s) };
+            // A receiver torn down leaves its route as a tombstone.
+            let doomed = k.create_thread();
+            k.register_handler(doomed, 0x2).unwrap();
+            let tomb = k.register_sender(other, doomed, uv(9)).unwrap();
+            assert_eq!(tomb, UittIndex(lanes.len()), "lowest free slot");
+            k.teardown_thread(doomed).unwrap();
+            for _ in 0..2 {
+                for sender in [s, s2] {
+                    assert_eq!(
+                        k.senduipi(sender, tomb).unwrap_err(),
+                        KernelError::ThreadTornDown { thread: doomed.0 },
+                        "cycle {cycle}: the tombstone reports until its slot is reused"
+                    );
+                }
+                k.senduipi(s, lanes[0].0).unwrap();
+            }
+            assert_eq!(allocated(&k), lanes.len());
+            // Fill to ENOSPC: the first new route reuses the tombstone.
+            let mut extras = Vec::new();
+            let err = loop {
+                match k.register_sender(filler, r, uv(5)) {
+                    Ok(idx) => extras.push(idx),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(err, KernelError::UittFull { capacity: SLOTS });
+            assert_eq!(extras.len(), SLOTS - lanes.len());
+            assert_eq!(extras[0], tomb);
+            assert_eq!(allocated(&k), SLOTS);
+            k.senduipi(other, tomb).unwrap();
+            for idx in extras {
+                k.unregister_sender(other, idx).unwrap();
+            }
+            assert_eq!(allocated(&k), lanes.len(), "cycle {cycle}");
+            assert_eq!(
+                k.senduipi(s, tomb).unwrap_err(),
+                KernelError::Arch(XuiError::InvalidUittIndex { index: tomb.0 })
+            );
+            // Every original lane still delivers, through either member.
+            for &(idx, _) in &lanes {
+                k.senduipi(filler, idx).unwrap();
+            }
+            let mut got = k.run_pending(r).unwrap();
+            got.sort();
+            let mut want: Vec<UserVector> = lanes.iter().map(|&(_, v)| v).collect();
+            want.push(uv(5));
+            assert_eq!(got, want, "cycle {cycle}");
+        }
+    }
+
+    /// A kernel in the oracle differ's set-up: a receiver, send lanes, a
+    /// co-sender sharing the table, a KB_Timer and forwarded lines.
+    fn differ_setup(k: &mut UintrKernel, cores: usize) {
+        let sender = k.create_thread();
+        let receiver = k.create_thread();
+        k.register_handler(receiver, 0x4000).unwrap();
+        for v in [3, 7, 12] {
+            k.register_sender(sender, receiver, uv(v)).unwrap();
+        }
+        let co = k.create_thread();
+        k.share_uitt(sender, co).unwrap();
+        k.enable_kb_timer(receiver, uv(1)).unwrap();
+        for core in 0..cores {
+            k.register_forwarding(receiver, CoreId(core), Vector::new(40), uv(20)).unwrap();
+        }
+        k.schedule(sender, CoreId(0)).unwrap();
+    }
+
+    #[test]
+    fn setup_after_reset_equals_a_fresh_kernel() {
+        let mut k = UintrKernel::with_capacities(4, 8, 16);
+        // A history that leaves something behind in every field.
+        differ_setup(&mut k, 4);
+        let extra = k.create_thread();
+        k.register_handler(extra, 0x10).unwrap();
+        let idx = k.register_sender(ThreadId(0), extra, uv(30)).unwrap();
+        k.schedule(ThreadId(1), CoreId(2)).unwrap();
+        k.set_timer(ThreadId(1), 100, TimerMode::Periodic).unwrap();
+        k.advance_time(1_000);
+        k.senduipi(ThreadId(0), idx).unwrap();
+        k.teardown_thread(extra).unwrap();
+        k.teardown_thread(ThreadId(2)).unwrap();
+        k.run_pending(ThreadId(1)).unwrap();
+        for cores in [2, 4] {
+            k.reset(cores);
+            assert_eq!(k, UintrKernel::with_capacities(cores, 8, 16));
+            differ_setup(&mut k, cores);
+            let mut fresh = UintrKernel::with_capacities(cores, 8, 16);
+            differ_setup(&mut fresh, cores);
+            assert_eq!(k, fresh);
+            assert_eq!(format!("{k:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]

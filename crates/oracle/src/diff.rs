@@ -19,11 +19,19 @@
 //! error and is not driven past it. Divergences are reported in a fixed
 //! order: protocol, then kernel, then sim.
 //!
+//! Each thread keeps one `Replayer` holding both untimed models. A
+//! check resets it completely before anything else and then repeats
+//! the set-up syscalls into the kept buffers, so a check allocates no
+//! model state and nothing a previous check (even one that panicked)
+//! left behind can reach the next.
+//!
 //! Replay mirrors the oracle's totality rules: an event that the oracle
 //! treats as a no-op is skipped against the model too, so the *legal*
 //! transitions are compared and any subsequence of a schedule remains
 //! replayable (which keeps shrinking sound). A model error on an event
 //! the oracle considers legal is itself a divergence.
+
+use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
@@ -124,12 +132,24 @@ struct ProtocolReplay {
 }
 
 impl ProtocolReplay {
-    fn new(s: &Schedule) -> Result<Self, String> {
-        let mut sys = ProtocolModel::new(usize::from(s.cores));
-        let sender = sys.create_thread();
-        let receiver = sys.create_thread();
+    fn new() -> Self {
+        Self {
+            sys: ProtocolModel::new(0),
+            sender: ThreadId(0),
+            receiver: ThreadId(0),
+            idx_by_lane: Vec::new(),
+        }
+    }
+
+    /// Resets every field, then builds `s`'s post-setup state.
+    fn setup(&mut self, s: &Schedule) -> Result<(), String> {
+        let Self { sys, sender, receiver, idx_by_lane } = self;
+        sys.reset(usize::from(s.cores));
+        idx_by_lane.clear();
+        *sender = sys.create_thread();
+        *receiver = sys.create_thread();
+        let (sender, receiver) = (*sender, *receiver);
         sys.register_handler(receiver, 0x4000).map_err(|e| format!("{e:?}"))?;
-        let mut idx_by_lane = Vec::with_capacity(s.send_vectors.len());
         for &uv in &s.send_vectors {
             let uv = UserVector::new(uv & 63).map_err(|e| format!("{e:?}"))?;
             idx_by_lane
@@ -146,8 +166,7 @@ impl ProtocolReplay {
                     .map_err(|e| format!("{e:?}"))?;
             }
         }
-        sys.schedule(sender, CoreId(0)).map_err(|e| format!("{e:?}"))?;
-        Ok(Self { sys, sender, receiver, idx_by_lane })
+        sys.schedule(sender, CoreId(0)).map_err(|e| format!("{e:?}"))
     }
 }
 
@@ -209,30 +228,51 @@ struct KernelReplay {
     /// Vector used for the throwaway `ENOSPC`-probe routes.
     spare: UserVector,
     idx_by_lane: Vec<UittIndex>,
+    /// Scratch for the slots `register_until_enospc` claims.
+    extras: Vec<UittIndex>,
 }
 
 impl KernelReplay {
-    fn new(s: &Schedule) -> Result<Self, String> {
-        let mut sys = UintrKernel::with_capacities(
-            usize::from(s.cores),
-            xui_kernel::uintr::DEFAULT_UPID_SLOTS,
-            KERNEL_REPLAY_UITT_SLOTS,
-        );
-        let sender = sys.create_thread();
-        let receiver = sys.create_thread();
+    fn new() -> Self {
+        Self {
+            sys: UintrKernel::with_capacities(
+                0,
+                xui_kernel::uintr::DEFAULT_UPID_SLOTS,
+                KERNEL_REPLAY_UITT_SLOTS,
+            ),
+            sender: ThreadId(0),
+            receiver: ThreadId(0),
+            sender2: ThreadId(0),
+            shared_alive: false,
+            spare: UserVector::from_truncated(0),
+            idx_by_lane: Vec::new(),
+            extras: Vec::new(),
+        }
+    }
+
+    /// Resets every field, then builds `s`'s post-setup state.
+    fn setup(&mut self, s: &Schedule) -> Result<(), String> {
+        let Self { sys, sender, receiver, sender2, shared_alive, spare, idx_by_lane, extras } =
+            self;
+        sys.reset(usize::from(s.cores));
+        *shared_alive = true;
+        *spare = UserVector::from_truncated(0);
+        idx_by_lane.clear();
+        extras.clear();
+        *sender = sys.create_thread();
+        *receiver = sys.create_thread();
+        let (sender, receiver) = (*sender, *receiver);
         sys.register_handler(receiver, 0x4000).map_err(|e| format!("{e:?}"))?;
-        let mut idx_by_lane = Vec::with_capacity(s.send_vectors.len());
-        let mut spare = UserVector::from_truncated(0);
         for &uv in &s.send_vectors {
             let uv = UserVector::new(uv & 63).map_err(|e| format!("{e:?}"))?;
-            spare = uv;
+            *spare = uv;
             idx_by_lane
                 .push(sys.register_sender(sender, receiver, uv).map_err(|e| format!("{e:?}"))?);
         }
         // The co-sender joins the sender's table *after* the lanes are
         // registered, exercising clone-on-register.
-        let sender2 = sys.create_thread();
-        sys.share_uitt(sender, sender2).map_err(|e| format!("{e:?}"))?;
+        *sender2 = sys.create_thread();
+        sys.share_uitt(sender, *sender2).map_err(|e| format!("{e:?}"))?;
         if let Some(tv) = s.timer_vector {
             let tv = UserVector::new(tv & 63).map_err(|e| format!("{e:?}"))?;
             sys.enable_kb_timer(receiver, tv).map_err(|e| format!("{e:?}"))?;
@@ -244,8 +284,7 @@ impl KernelReplay {
                     .map_err(|e| format!("{e:?}"))?;
             }
         }
-        sys.schedule(sender, CoreId(0)).map_err(|e| format!("{e:?}"))?;
-        Ok(Self { sys, sender, receiver, sender2, shared_alive: true, spare, idx_by_lane })
+        sys.schedule(sender, CoreId(0)).map_err(|e| format!("{e:?}"))
     }
 
     /// Tears down the shared co-sender (once; later teardowns are
@@ -261,7 +300,8 @@ impl KernelReplay {
 
     /// Fills the sender's table to `ENOSPC`, then frees every extra slot.
     fn register_until_enospc(&mut self) -> Result<(), String> {
-        let mut extras = Vec::new();
+        let extras = &mut self.extras;
+        extras.clear();
         let hit = loop {
             match self.sys.register_sender(self.sender, self.receiver, self.spare) {
                 Ok(idx) => extras.push(idx),
@@ -272,7 +312,7 @@ impl KernelReplay {
                 break false;
             }
         };
-        for idx in &extras {
+        for idx in extras.iter() {
             self.sys.unregister_sender(self.sender, *idx).map_err(|e| format!("{e:?}"))?;
         }
         if !hit {
@@ -437,20 +477,33 @@ impl Guards {
 /// An untimed model under replay: `Ok` while it agrees with the oracle,
 /// else the first error or byte-level divergence it showed. A model is
 /// not driven past its first error.
-type Replay<M> = Result<M, String>;
+type Replay<'a, M> = Result<&'a mut M, String>;
+
+/// Both untimed models, kept across checks on one thread: every check
+/// starts with [`ProtocolReplay::setup`] / [`KernelReplay::setup`],
+/// which reset each model completely before the set-up syscalls.
+struct Replayer {
+    protocol: ProtocolReplay,
+    kernel: KernelReplay,
+}
+
+thread_local! {
+    static REPLAYER: RefCell<Replayer> =
+        RefCell::new(Replayer { protocol: ProtocolReplay::new(), kernel: KernelReplay::new() });
+}
 
 /// Drives event `i` into a live model and compares the receiver's packed
 /// UPID against the oracle's `expect` bytes; the first failure retires
 /// the model with its error.
 fn step_model<M: ModelUnderTest>(
-    replay: &mut Replay<M>,
+    replay: &mut Replay<'_, M>,
     event: (usize, &Event),
     step: Option<Step>,
     expect: &[u8; abi::upid::UPID_BYTES],
     race_on: bool,
 ) {
     if let Ok(model) = replay {
-        if let Err(e) = step_and_compare(model, event, step, expect, race_on) {
+        if let Err(e) = step_and_compare(&mut **model, event, step, expect, race_on) {
             *replay = Err(e);
         }
     }
@@ -481,11 +534,11 @@ fn step_and_compare<M: ModelUnderTest>(
 /// unmask, drain), compares the final packed UPID and returns the
 /// model's outcome, or the first error it showed.
 fn quiesce_model<M: ModelUnderTest>(
-    replay: Replay<M>,
+    replay: Replay<'_, M>,
     resume: bool,
     expect: &[u8; abi::upid::UPID_BYTES],
 ) -> Result<Outcome, String> {
-    let mut model = replay?;
+    let model = replay?;
     if resume {
         model.apply(Step::Schedule(1)).map_err(|e| format!("quiesce schedule: {e}"))?;
     }
@@ -518,9 +571,10 @@ struct UntimedReplay {
 /// IPI fired, the oracle keeps `ON = 1` while the untimed models'
 /// deschedule-then-send rendering leaves `ON = 0`; the bit is masked
 /// until the next resume clears it on both sides (see `docs/ORACLE.md`).
-fn replay_untimed(schedule: &Schedule, opts: CheckOptions) -> UntimedReplay {
-    let mut protocol = ProtocolReplay::new(schedule);
-    let mut kernel = KernelReplay::new(schedule);
+fn replay_untimed(replayer: &mut Replayer, schedule: &Schedule, opts: CheckOptions) -> UntimedReplay {
+    let Replayer { protocol, kernel } = replayer;
+    let mut protocol = protocol.setup(schedule).map(|()| protocol);
+    let mut kernel = kernel.setup(schedule).map(|()| kernel);
     let mut oracle = Oracle::new(schedule);
     let mut guards = Guards::default();
     let mut race_on = false;
@@ -665,7 +719,8 @@ pub fn check(schedule: &Schedule) -> Option<Divergence> {
 /// [`check`] with explicit [`CheckOptions`].
 #[must_use]
 pub fn check_with(schedule: &Schedule, opts: CheckOptions) -> Option<Divergence> {
-    let UntimedReplay { oracle, protocol, kernel } = replay_untimed(schedule, opts);
+    let UntimedReplay { oracle, protocol, kernel } =
+        REPLAYER.with(|r| replay_untimed(&mut r.borrow_mut(), schedule, opts));
     if let Some(d) = compare("protocol", &oracle, protocol) {
         return Some(d);
     }

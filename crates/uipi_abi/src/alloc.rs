@@ -6,7 +6,7 @@
 //! reports double-frees instead of silently corrupting the bitmap.
 
 /// A fixed-capacity bitmap allocator over indices `0..capacity`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexAllocator {
     bits: Vec<u64>,
     capacity: usize,
@@ -17,7 +17,19 @@ impl IndexAllocator {
     /// An empty allocator over `0..capacity`.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self { bits: vec![0; capacity.div_ceil(64)], capacity, allocated: 0 }
+        let mut a = Self::default();
+        a.reset(capacity);
+        a
+    }
+
+    /// Frees every index and sets the capacity to `capacity`, reusing
+    /// the bitmap's buffer: afterwards the allocator equals
+    /// [`IndexAllocator::new`]`(capacity)`.
+    pub fn reset(&mut self, capacity: usize) {
+        self.bits.clear();
+        self.bits.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
+        self.allocated = 0;
     }
 
     /// The number of indices this allocator manages.
@@ -111,6 +123,18 @@ mod tests {
         assert_eq!(a.allocate(), None);
         assert!(a.release(64));
         assert_eq!(a.allocate(), Some(64));
+    }
+
+    #[test]
+    fn reset_equals_new() {
+        let mut a = IndexAllocator::new(70);
+        for _ in 0..69 {
+            a.allocate();
+        }
+        a.reset(70);
+        assert_eq!(a, IndexAllocator::new(70));
+        a.reset(3);
+        assert_eq!(a, IndexAllocator::new(3));
     }
 
     #[test]
