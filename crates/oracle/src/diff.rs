@@ -911,6 +911,18 @@ mod tests {
     }
 
     #[test]
+    fn shrunk_reproducer_parses_back_and_replays_to_the_same_divergence() {
+        let opts = CheckOptions { mispack_nc: true };
+        let schedule = shrink_with(&Schedule::generate(1), opts);
+        let divergence = check_with(&schedule, opts).expect("mis-packed NC must diverge");
+        let r = Reproducer { schedule, divergence };
+        let parsed: Reproducer =
+            serde_json::from_str(&reproducer_json(&r)).expect("reproducer parses back");
+        assert_eq!(parsed, r);
+        assert_eq!(check_with(&parsed.schedule, opts), Some(r.divergence));
+    }
+
+    #[test]
     fn reproducer_json_is_deterministic() {
         let r = Reproducer {
             schedule: Schedule::generate(3),

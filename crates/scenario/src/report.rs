@@ -191,8 +191,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Fails if `results/` cannot be created, the value does not render as
 /// JSON, or the file cannot be written; the error names the path.
 pub fn save_json<T: Serialize>(id: &str, value: &T) -> io::Result<()> {
+    save_rendered(id, &render_json(value))
+}
+
+/// [`save_json`] for a result already rendered by [`render_json`].
+pub(crate) fn save_rendered(id: &str, json: &str) -> io::Result<()> {
     let path = PathBuf::from("results").join(format!("{id}.json"));
-    let json = render_json(value);
     let saved = if json.is_empty() {
         let e = format!("{}: result does not render as JSON", path.display());
         Err(io::Error::new(io::ErrorKind::InvalidData, e))

@@ -12,7 +12,7 @@ use serde::Serialize;
 
 use crate::cli::{CliError, Parsed};
 use crate::experiments;
-use crate::report::{banner, render_json, save_json};
+use crate::report::{banner, render_json, save_rendered};
 use crate::spec::{Experiment, Scenario};
 
 /// One milestone in a scenario's execution, reported through
@@ -203,7 +203,7 @@ impl Sink {
         }
         let json = render_json(value);
         if self.save {
-            let saved = save_json(id, value);
+            let saved = save_rendered(id, &json);
             self.saved(saved);
         }
         self.progress.emit(&RunProgress::Artifact {

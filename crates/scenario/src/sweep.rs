@@ -195,11 +195,6 @@ impl Deserialize for AxisValues {
         match v {
             Value::Array(items) => Ok(Self::List(items.clone())),
             Value::Object(entries) => {
-                let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-                let from = get("from")
-                    .ok_or_else(|| DeError::missing_field("range axis", "from"))?;
-                let to = get("to").ok_or_else(|| DeError::missing_field("range axis", "to"))?;
-                let step = get("step");
                 for (k, _) in entries {
                     if !matches!(k.as_str(), "from" | "to" | "step") {
                         return Err(DeError::new(format!(
@@ -207,20 +202,24 @@ impl Deserialize for AxisValues {
                         )));
                     }
                 }
-                let integral = |v: Option<&Value>| {
-                    v.is_none_or(|v| matches!(v, Value::UInt(_) | Value::Int(_)))
+                let end = |name| match serde::field(v, "range axis", name)? {
+                    Value::Null => Err(DeError::missing_field("range axis", name)),
+                    end => Ok(end),
                 };
-                if integral(Some(from)) && integral(Some(to)) && integral(step) {
+                let (from, to) = (end("from")?, end("to")?);
+                let step: Option<Value> = serde::field(v, "range axis", "step")?;
+                let integral = |v: &Value| matches!(v, Value::UInt(_) | Value::Int(_));
+                if integral(&from) && integral(&to) && step.as_ref().is_none_or(integral) {
                     Ok(Self::IntRange {
-                        from: i128::from_value(from)?,
-                        to: i128::from_value(to)?,
-                        step: step.map_or(Ok(1), i128::from_value)?,
+                        from: i128::from_value(&from)?,
+                        to: i128::from_value(&to)?,
+                        step: step.as_ref().map_or(Ok(1), i128::from_value)?,
                     })
                 } else {
                     Ok(Self::FloatRange {
-                        from: f64::from_value(from)?,
-                        to: f64::from_value(to)?,
-                        step: step.map_or(Ok(1.0), f64::from_value)?,
+                        from: f64::from_value(&from)?,
+                        to: f64::from_value(&to)?,
+                        step: step.as_ref().map_or(Ok(1.0), f64::from_value)?,
                     })
                 }
             }
@@ -284,28 +283,20 @@ impl Serialize for SweepSpec {
 
 impl Deserialize for SweepSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Object(entries) = v else {
-            return Err(DeError::expected("a sweep spec object", v));
+        let name = serde::field(v, "sweep spec", "name")?;
+        let scenario = serde::field(v, "sweep spec", "scenario")?;
+        let axes = match serde::field(v, "sweep spec", "grid")? {
+            Value::Object(axes) => axes,
+            Value::Null => return Err(DeError::missing_field("sweep spec", "grid")),
+            other => return Err(DeError::expected("a grid object of path -> values", &other)),
         };
-        let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let name = get("name")
-            .ok_or_else(|| DeError::missing_field("sweep spec", "name"))
-            .and_then(String::from_value)?;
-        let scenario = get("scenario")
-            .ok_or_else(|| DeError::missing_field("sweep spec", "scenario"))
-            .and_then(ScenarioRef::from_value)?;
-        let grid_v = get("grid").ok_or_else(|| DeError::missing_field("sweep spec", "grid"))?;
-        let Value::Object(axes) = grid_v else {
-            return Err(DeError::expected("a grid object of path -> values", grid_v));
-        };
-        let mut grid = Vec::with_capacity(axes.len());
-        for (path, values) in axes {
-            grid.push(Axis {
-                path: path.clone(),
-                values: AxisValues::from_value(values)
-                    .map_err(|e| e.in_field("grid"))?,
-            });
-        }
+        let grid = axes
+            .into_iter()
+            .map(|(path, values)| {
+                let values = AxisValues::from_value(&values).map_err(|e| e.in_field("grid"))?;
+                Ok(Axis { path, values })
+            })
+            .collect::<Result<_, DeError>>()?;
         Ok(Self { name, scenario, grid })
     }
 }
@@ -351,12 +342,10 @@ fn set_path(root: &mut Value, path: &str, new: &Value) -> Result<(), String> {
     } else {
         // Relative paths resolve inside the experiment variant's body:
         // `ticks` means `/experiment/<Variant>/ticks`.
-        let variant = (|| {
-            let Value::Object(entries) = &*root else { return None };
-            let (_, exp) = entries.iter().find(|(k, _)| k == "experiment")?;
-            let Value::Object(body) = exp else { return None };
-            body.first().map(|(k, _)| k.clone())
-        })()
+        let variant = match serde::field(root, "scenario", "experiment") {
+            Ok(Value::Object(body)) => body.into_iter().next().map(|(k, _)| k),
+            _ => None,
+        }
         .ok_or_else(|| "the scenario has no experiment variant to resolve into".to_string())?;
         let mut segs = vec!["experiment".to_string(), variant];
         segs.extend(path.split('/').map(str::to_string));
@@ -591,7 +580,7 @@ impl ShardSpec {
 pub const MANIFEST_NAME: &str = "sweep_manifest.json";
 
 /// One finished point, as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct PointOutcome {
     /// Point name.
     pub name: String,
@@ -617,37 +606,6 @@ impl PointOutcome {
             entries.push(("error".to_string(), Value::Str(e.clone())));
         }
         Value::Object(entries)
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let Value::Object(entries) = v else {
-            return Err("manifest point is not an object".to_string());
-        };
-        let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let name = match get("name") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => return Err("manifest point has no `name`".to_string()),
-        };
-        let passed = match get("passed") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err(format!("manifest point `{name}` has no `passed`")),
-        };
-        let artifacts = match get("artifacts") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
-                    other => Err(format!("point `{name}`: non-string artifact id {other:?}")),
-                })
-                .collect::<Result<_, _>>()?,
-            _ => return Err(format!("manifest point `{name}` has no `artifacts`")),
-        };
-        let error = match get("error") {
-            Some(Value::Str(s)) => Some(s.clone()),
-            None => None,
-            Some(other) => return Err(format!("point `{name}`: non-string error {other:?}")),
-        };
-        Ok(Self { name, passed, artifacts, error })
     }
 }
 
@@ -801,21 +759,11 @@ pub fn run_points_resuming(
 /// malformed point entries.
 pub fn manifest_outcomes(sweep_name: &str, text: &str) -> Result<Vec<PointOutcome>, String> {
     let v = serde_json::value_from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let Value::Object(entries) = &v else {
-        return Err("the manifest is not an object".to_string());
-    };
-    let get = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    match get("sweep") {
-        Some(Value::Str(s)) if *s == sweep_name => {}
-        Some(Value::Str(s)) => {
-            return Err(format!("the manifest belongs to sweep `{s}`, not `{sweep_name}`"))
-        }
-        _ => return Err("the manifest has no `sweep` name".to_string()),
+    let sweep: String = serde::field(&v, "manifest", "sweep").map_err(|e| e.to_string())?;
+    if sweep != sweep_name {
+        return Err(format!("the manifest belongs to sweep `{sweep}`, not `{sweep_name}`"));
     }
-    let Some(Value::Array(points)) = get("points") else {
-        return Err("the manifest has no `points` array".to_string());
-    };
-    points.iter().map(PointOutcome::from_value).collect()
+    serde::field(&v, "manifest", "points").map_err(|e| e.to_string())
 }
 
 /// Merges shard manifests back into the unsharded manifest, verifying

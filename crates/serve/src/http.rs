@@ -270,7 +270,8 @@ impl Response {
     /// A JSON error envelope (`{"error": "..."}`) with the given status.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        Self::json(status, format!("{{\"error\":{}}}", json_string(message)))
+        let message = serde_json::to_string(message).unwrap_or_default();
+        Self::json(status, format!("{{\"error\":{message}}}"))
     }
 
     /// The standard `404` envelope.
@@ -310,30 +311,6 @@ pub fn status_text(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Unknown",
     }
-}
-
-/// Escapes a string as a JSON string literal (shared with the SSE
-/// encoder; identical rules to the telemetry crate's one-line JSON).
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -221,7 +221,8 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
 
     // Submit the watched run with a hold long enough for the
     // subscribers to attach before execution starts.
-    let submit_body = format!("{{\"scenario\":{},\"hold_ms\":800}}", crate::http::json_string(&cfg.scenario));
+    let scenario = serde_json::to_string(&cfg.scenario).unwrap_or_default();
+    let submit_body = format!("{{\"scenario\":{scenario},\"hold_ms\":800}}");
     let (status, body) = http_request(addr, "POST", "/api/runs", Some(&submit_body))
         .map_err(|e| format!("submit failed: {e}"))?;
     if status != 202 {

@@ -25,8 +25,6 @@ use xui_telemetry::{
     RingRecorder,
 };
 
-use crate::http::json_string;
-
 /// Upper bound on the pre-run hold a submission may request (the hold
 /// exists so stream clients can attach before a fast run finishes; it
 /// must never become a way to park a worker forever).
@@ -197,7 +195,7 @@ impl RunManager {
                         "state",
                         &format!(
                             "{{\"id\":{id},\"state\":{}}}",
-                            json_string(state.name())
+                            serde_json::to_string(state.name()).unwrap_or_default()
                         ),
                     );
                     if state.is_terminal() {
@@ -247,7 +245,7 @@ impl RunManager {
                         "artifact",
                         &format!(
                             "{{\"id\":{},\"index\":{index},\"bytes\":{bytes}}}",
-                            json_string(id)
+                            serde_json::to_string(id).unwrap_or_default()
                         ),
                     );
                     s.bump("artifacts_emitted", 1);

@@ -38,10 +38,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use serde::{Deserialize, Value};
+use serde::{DeError, Deserialize, Value};
 use xui_scenario::{registry, CancelError, Scenario, SubmitError, WorkerPool};
 
-use crate::http::{self, json_string, Request, Response};
+use crate::http::{self, Request, Response};
 use crate::runs::{RunManager, RunShared};
 use crate::sse;
 use crate::sweeps::{self, SweepManager, SweepShared};
@@ -279,34 +279,26 @@ fn show_scenario(name: &str) -> Response {
 /// plus the hold and save knobs.
 fn parse_submission(body: &str) -> Result<(Scenario, u64, bool), String> {
     let v = serde_json::value_from_str(body).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let Value::Object(entries) = &v else {
-        return Err("the body must be a JSON object".to_string());
-    };
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let scenario = match field("scenario") {
-        Some(Value::Str(name)) => registry::find(name)
+    let de = |e: DeError| format!("invalid body: {e}");
+    let scenario = match serde::field(&v, "run submission", "scenario").map_err(de)? {
+        Value::Str(name) => registry::find(&name)
             .ok_or_else(|| format!("unknown scenario `{name}` (see GET /api/scenarios)"))?,
-        Some(spec @ Value::Object(_)) => Scenario::from_value(spec)
+        spec @ Value::Object(_) => Scenario::from_value(&spec)
             .map_err(|e| format!("invalid scenario spec: {e}"))?,
-        Some(other) => {
+        Value::Null => return Err("the body needs a `scenario` field".to_string()),
+        other => {
             return Err(format!(
                 "`scenario` must be a preset name or a spec object, got {other:?}"
             ))
         }
-        None => return Err("the body needs a `scenario` field".to_string()),
     };
-    let hold_ms = match field("hold_ms") {
-        Some(Value::UInt(n)) => u64::try_from(*n).unwrap_or(u64::MAX),
-        Some(Value::Int(n)) if *n >= 0 => u64::try_from(*n).unwrap_or(u64::MAX),
-        None | Some(Value::Null) => 0,
-        Some(other) => return Err(format!("`hold_ms` must be an unsigned integer, got {other:?}")),
-    };
-    let save = match field("save") {
-        Some(Value::Bool(b)) => *b,
-        None | Some(Value::Null) => false,
-        Some(other) => return Err(format!("`save` must be a boolean, got {other:?}")),
-    };
-    Ok((scenario, hold_ms, save))
+    let hold_ms: Option<u128> = serde::field(&v, "run submission", "hold_ms").map_err(de)?;
+    let save: Option<bool> = serde::field(&v, "run submission", "save").map_err(de)?;
+    Ok((
+        scenario,
+        hold_ms.map_or(0, |n| u64::try_from(n).unwrap_or(u64::MAX)),
+        save.unwrap_or(false),
+    ))
 }
 
 fn submit_run(ctx: &Ctx, req: &Request) -> Response {
@@ -547,22 +539,15 @@ fn replay_terminal_sweep(shared: &Arc<SweepShared>, writer: &mut TcpStream) {
     if writer.write_all(sse::STREAM_HEAD.as_bytes()).is_err() {
         return;
     }
-    let status = shared.status_value();
     let mut delivered = 0u64;
-    if let Value::Object(entries) = &status {
-        if let Some(Value::Array(points)) =
-            entries.iter().find(|(k, _)| k == "points").map(|(_, v)| v)
-        {
-            for p in points {
-                let frame =
-                    sse::encode_frame("point", &serde_json::to_string(p).unwrap_or_default());
-                if writer.write_all(frame.as_bytes()).is_err() {
-                    return;
-                }
-                delivered += 1;
-            }
+    for p in shared.points() {
+        let frame = sse::encode_frame("point", &serde_json::to_string(&p).unwrap_or_default());
+        if writer.write_all(frame.as_bytes()).is_err() {
+            return;
         }
+        delivered += 1;
     }
+    let status = shared.status_value();
     let frame = sse::encode_frame("sweep", &serde_json::to_string(&status).unwrap_or_default());
     if writer.write_all(frame.as_bytes()).is_err() {
         return;
@@ -592,10 +577,8 @@ fn replay_terminal_run(ctx: &Ctx, id: u64, shared: &Arc<RunShared>, writer: &mut
         delivered += 1;
     }
     if let Some(status) = ctx.manager.status(id) {
-        let frame = sse::encode_frame(
-            "state",
-            &format!("{{\"id\":{id},\"state\":{}}}", json_string(&status.state)),
-        );
+        let state = serde_json::to_string(&status.state).unwrap_or_default();
+        let frame = sse::encode_frame("state", &format!("{{\"id\":{id},\"state\":{state}}}"));
         if writer.write_all(frame.as_bytes()).is_err() {
             return;
         }

@@ -19,12 +19,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use serde::Value;
+use serde::{DeError, Deserialize, Serialize, Value};
 use xui_scenario::sweep::SweepPoint;
 use xui_scenario::{SubmitError, SweepSpec};
 use xui_telemetry::{BroadcastHub, BroadcastSubscriber};
 
-use crate::http::json_string;
 use crate::runs::RunManager;
 
 /// How long the monitor backs off when the run queue is full.
@@ -35,7 +34,7 @@ const FULL_BACKOFF: Duration = Duration::from_millis(25);
 const WAIT_SLICE: Duration = Duration::from_millis(200);
 
 /// One point's lifecycle as the sweep sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PointState {
     /// Point name (`<base>@k=v,...`).
     pub name: String,
@@ -50,22 +49,6 @@ pub struct PointState {
 impl PointState {
     fn is_terminal(&self) -> bool {
         matches!(self.state.as_str(), "done" | "failed" | "cancelled")
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            (
-                "run_id".to_string(),
-                self.run_id.map_or(Value::Null, |id| Value::UInt(u128::from(id))),
-            ),
-            ("state".to_string(), Value::Str(self.state.clone())),
-            ("passed".to_string(), self.passed.map_or(Value::Null, Value::Bool)),
-        ])
-    }
-
-    fn snapshot_json(&self) -> String {
-        serde_json::to_string(&self.to_value()).unwrap_or_default()
     }
 }
 
@@ -133,7 +116,7 @@ impl SweepShared {
             ("total".to_string(), Value::UInt(points.len() as u128)),
             ("done".to_string(), Value::UInt(done as u128)),
             ("passed".to_string(), passed),
-            ("points".to_string(), Value::Array(points.iter().map(PointState::to_value).collect())),
+            ("points".to_string(), points.to_value()),
         ])
     }
 
@@ -141,7 +124,7 @@ impl SweepShared {
         let json = {
             let mut points = self.points.lock().expect("sweep points poisoned");
             f(&mut points[index]);
-            points[index].snapshot_json()
+            serde_json::to_string(&points[index]).unwrap_or_default()
         };
         self.hub.publish_snapshot("point", &json);
     }
@@ -320,29 +303,21 @@ fn cancel_rest(shared: &Arc<SweepShared>, from: usize) {
 ///
 /// Returns a user-facing message for malformed bodies.
 pub fn parse_sweep_submission(body: &str) -> Result<(SweepSpec, bool), String> {
-    use serde::Deserialize;
     let v = serde_json::value_from_str(body).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let Value::Object(entries) = &v else {
-        return Err("the body must be a JSON object".to_string());
-    };
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let spec = match field("sweep") {
-        Some(Value::Str(name)) => xui_scenario::sweep::find_preset(name)
+    let de = |e: DeError| format!("invalid body: {e}");
+    let spec = match serde::field(&v, "sweep submission", "sweep").map_err(de)? {
+        Value::Str(name) => xui_scenario::sweep::find_preset(&name)
             .ok_or_else(|| format!("unknown sweep `{name}` (see `xui list`)"))?,
-        Some(spec @ Value::Object(_)) => {
-            SweepSpec::from_value(spec).map_err(|e| format!("invalid sweep spec: {e}"))?
+        spec @ Value::Object(_) => {
+            SweepSpec::from_value(&spec).map_err(|e| format!("invalid sweep spec: {e}"))?
         }
-        Some(other) => {
+        Value::Null => return Err("the body needs a `sweep` field".to_string()),
+        other => {
             return Err(format!("`sweep` must be a preset name or a spec object, got {other:?}"))
         }
-        None => return Err("the body needs a `sweep` field".to_string()),
     };
-    let save = match field("save") {
-        Some(Value::Bool(b)) => *b,
-        None | Some(Value::Null) => false,
-        Some(other) => return Err(format!("`save` must be a boolean, got {other:?}")),
-    };
-    Ok((spec, save))
+    let save: Option<bool> = serde::field(&v, "sweep submission", "save").map_err(de)?;
+    Ok((spec, save.unwrap_or(false)))
 }
 
 /// The `202` body for an accepted sweep.
@@ -350,7 +325,7 @@ pub fn parse_sweep_submission(body: &str) -> Result<(SweepSpec, bool), String> {
 pub fn accepted_json(id: u64, name: &str, total: usize) -> String {
     format!(
         "{{\"id\":{id},\"sweep\":{},\"points\":{total},\"status\":\"/api/sweeps/{id}\",\"events\":\"/api/sweeps/{id}/events\"}}",
-        json_string(name)
+        serde_json::to_string(name).unwrap_or_default()
     )
 }
 

@@ -34,20 +34,7 @@ fn field_str(json: &str, name: &str) -> String {
 
 fn artifact_ids(status_json: &str) -> Vec<String> {
     let v = serde_json::value_from_str(status_json).expect("valid JSON");
-    let serde::Value::Object(entries) = &v else { panic!("status is not an object") };
-    let arts = entries
-        .iter()
-        .find(|(k, _)| k == "artifacts")
-        .map(|(_, v)| v)
-        .expect("status carries `artifacts`");
-    let serde::Value::Array(items) = arts else { panic!("`artifacts` is not an array") };
-    items
-        .iter()
-        .map(|it| {
-            let serde::Value::Str(s) = it else { panic!("artifact id is not a string") };
-            s.clone()
-        })
-        .collect()
+    serde::field(&v, "status", "artifacts").expect("status carries `artifacts` ids")
 }
 
 fn wait_done(addr: SocketAddr, id: u64) -> String {
@@ -290,6 +277,28 @@ fn shutdown_endpoint_drains_cleanly() {
         http_request(addr, "POST", "/api/shutdown", None).expect("request completes");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"shutting_down\":true"), "{body}");
+    server.join();
+}
+
+/// A body nested past the JSON parser's depth limit is a `400`, not a
+/// stack overflow that takes the whole server down.
+#[test]
+fn deeply_nested_bodies_are_rejected_and_the_server_survives() {
+    let server = start();
+    let addr = server.local_addr();
+    let body = "[".repeat(xui_serve::http::MAX_BODY_BYTES);
+    for path in ["/api/runs", "/api/sweeps"] {
+        let (status, reply) =
+            http_request(addr, "POST", path, Some(&body)).expect("request completes");
+        assert_eq!(status, 400, "{path}: {reply}");
+        assert!(reply.contains("invalid JSON body"), "{path}: {reply}");
+        assert!(reply.contains("nested deeper than 128"), "{path}: {reply}");
+    }
+    let (status, body) = get(addr, "/api/healthz");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    let (status, body) =
+        http_request(addr, "POST", "/api/shutdown", None).expect("request completes");
+    assert_eq!(status, 200, "{body}");
     server.join();
 }
 

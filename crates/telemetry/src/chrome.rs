@@ -8,9 +8,10 @@
 //! from the static taxonomy, and no wall-clock value is ever consulted —
 //! so the same run produces byte-identical traces for any worker count.
 
+use serde::{Deserialize, Value};
+
 use crate::event::{Event, Phase};
-use crate::json;
-use crate::recorder::json_string;
+use crate::recorder::write_args;
 
 /// A group of events that shares one Chrome `pid`. Figure binaries map
 /// the sweep-point index to the `pid`, so a multi-point trace opens in
@@ -56,14 +57,13 @@ pub fn trace_json_grouped(groups: &[TraceGroup]) -> String {
 
     for group in groups {
         if !group.label.is_empty() {
-            emit(
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":{}}}}}",
-                    group.pid,
-                    json_string(&group.label)
-                ),
-                &mut first,
+            let mut line = format!(
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":",
+                group.pid
             );
+            serde_json::write_escaped(&mut line, &group.label);
+            line.push_str("}}");
+            emit(line, &mut first);
         }
         let mut sorted: Vec<(usize, &Event)> = group.events.iter().enumerate().collect();
         sorted.sort_by_key(|&(i, e)| (e.ts, i));
@@ -124,10 +124,11 @@ fn event_line(pid: u32, ev: &Event, phase_override: Option<Phase>) -> String {
 
     let phase = phase_override.unwrap_or(ev.phase);
     let mut line = String::with_capacity(96);
+    line.push_str("{\"name\":");
+    serde_json::write_escaped(&mut line, ev.name);
     let _ = write!(
         line,
-        "{{\"name\":{},\"cat\":\"xui\",\"ph\":\"{}\",\"ts\":{},\"pid\":{pid},\"tid\":{}",
-        json_string(ev.name),
+        ",\"cat\":\"xui\",\"ph\":\"{}\",\"ts\":{},\"pid\":{pid},\"tid\":{}",
         phase.chrome_ph(),
         ev.ts,
         ev.actor,
@@ -135,19 +136,20 @@ fn event_line(pid: u32, ev: &Event, phase_override: Option<Phase>) -> String {
     if matches!(phase, Phase::Instant) {
         line.push_str(",\"s\":\"t\"");
     }
-    let mut args = ev.args.iter().flatten().peekable();
-    if args.peek().is_some() {
-        line.push_str(",\"args\":{");
-        for (i, (k, v)) in args.enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{}:{v}", json_string(k));
-        }
-        line.push('}');
-    }
+    write_args(&mut line, ev);
     line.push('}');
     line
+}
+
+/// The keys [`validate`] reads from every trace event.
+#[derive(Deserialize)]
+struct TraceEvent {
+    ph: String,
+    pid: u64,
+    tid: u64,
+    name: String,
+    /// Checked only off metadata records, which carry none.
+    ts: Value,
 }
 
 /// What [`validate`] found in a well-formed trace.
@@ -174,12 +176,9 @@ pub struct TraceCheck {
 ///
 /// Returns a description of the first problem found.
 pub fn validate(doc: &str) -> Result<TraceCheck, String> {
-    let root = json::parse(doc)?;
-    let events = json::get(&root, "traceEvents")
-        .ok_or("missing traceEvents key".to_string())?;
-    let serde::Value::Array(events) = events else {
-        return Err("traceEvents is not an array".to_string());
-    };
+    let root = serde_json::value_from_str(doc).map_err(|e| e.to_string())?;
+    let events: Vec<TraceEvent> =
+        serde::field(&root, "trace", "traceEvents").map_err(|e| e.to_string())?;
 
     let mut check = TraceCheck {
         events: events.len(),
@@ -189,25 +188,11 @@ pub fn validate(doc: &str) -> Result<TraceCheck, String> {
     let mut open: Vec<(u64, u64, String, usize)> = Vec::new(); // (pid, tid, name, depth)
     let mut tracks: Vec<(u64, u64)> = Vec::new();
 
-    for (i, ev) in events.iter().enumerate() {
-        let ph = json::get(ev, "ph")
-            .and_then(json::as_str)
-            .ok_or(format!("event {i}: missing ph"))?;
-        let pid = json::get(ev, "pid")
-            .and_then(json::as_u64)
-            .ok_or(format!("event {i}: missing pid"))?;
-        let tid = json::get(ev, "tid")
-            .and_then(json::as_u64)
-            .ok_or(format!("event {i}: missing tid"))?;
-        let name = json::get(ev, "name")
-            .and_then(json::as_str)
-            .ok_or(format!("event {i}: missing name"))?;
+    for (i, TraceEvent { ph, pid, tid, name, ts }) in events.into_iter().enumerate() {
         if ph == "M" {
-            continue; // metadata records carry no ts
+            continue;
         }
-        let ts = json::get(ev, "ts")
-            .and_then(json::as_u64)
-            .ok_or(format!("event {i}: missing ts"))?;
+        let ts = u64::from_value(&ts).map_err(|e| format!("event {i}: ts: {e}"))?;
         if !tracks.contains(&(pid, tid)) {
             tracks.push((pid, tid));
         }
@@ -222,20 +207,20 @@ pub fn validate(doc: &str) -> Result<TraceCheck, String> {
             }
             None => last_ts.push((pid, ts)),
         }
-        match ph {
+        match ph.as_str() {
             "B" => {
                 match open
                     .iter_mut()
-                    .find(|(p, t, n, _)| *p == pid && *t == tid && n == name)
+                    .find(|(p, t, n, _)| *p == pid && *t == tid && *n == name)
                 {
                     Some(slot) => slot.3 += 1,
-                    None => open.push((pid, tid, name.to_string(), 1)),
+                    None => open.push((pid, tid, name, 1)),
                 }
             }
             "E" => {
                 let slot = open
                     .iter_mut()
-                    .find(|(p, t, n, d)| *p == pid && *t == tid && n == name && *d > 0)
+                    .find(|(p, t, n, d)| *p == pid && *t == tid && *n == name && *d > 0)
                     .ok_or(format!(
                         "event {i}: E \"{name}\" (pid {pid} tid {tid}) without open B"
                     ))?;

@@ -39,7 +39,6 @@ pub mod broadcast;
 pub mod chrome;
 pub mod des_probe;
 pub mod event;
-pub mod json;
 pub mod metrics;
 pub mod recorder;
 

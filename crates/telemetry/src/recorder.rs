@@ -174,12 +174,22 @@ pub fn event_json_line(ev: &Event) -> String {
     let mut line = String::with_capacity(96);
     let _ = write!(
         line,
-        "{{\"ts\":{},\"actor\":{},\"ph\":\"{}\",\"name\":{}",
+        "{{\"ts\":{},\"actor\":{},\"ph\":\"{}\",\"name\":",
         ev.ts,
         ev.actor,
         ev.phase.chrome_ph(),
-        json_string(ev.name),
     );
+    serde_json::write_escaped(&mut line, ev.name);
+    write_args(&mut line, ev);
+    line.push('}');
+    line
+}
+
+/// Appends the event's arguments as `,"args":{...}` (nothing when it
+/// has none); shared by the event line and the Chrome exporter.
+pub(crate) fn write_args(line: &mut String, ev: &Event) {
+    use std::fmt::Write;
+
     let mut args = ev.args.iter().flatten().peekable();
     if args.peek().is_some() {
         line.push_str(",\"args\":{");
@@ -187,35 +197,11 @@ pub fn event_json_line(ev: &Event) -> String {
             if i > 0 {
                 line.push(',');
             }
-            let _ = write!(line, "{}:{v}", json_string(k));
+            serde_json::write_escaped(line, k);
+            let _ = write!(line, ":{v}");
         }
         line.push('}');
     }
-    line.push('}');
-    line
-}
-
-/// Escapes a string as a JSON string literal.
-#[must_use]
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -265,7 +251,7 @@ mod tests {
         ];
         assert_eq!(lines[0], r#"{"ts":5,"actor":2,"ph":"B","name":"span","args":{"k":7}}"#);
         for line in &lines {
-            crate::json::parse(line).expect("each line parses as JSON");
+            serde_json::value_from_str(line).expect("each line parses as JSON");
         }
     }
 }

@@ -163,20 +163,19 @@ fn deliberate_bound_violation_exits_nonzero_with_offending_event() {
 /// high-lane maximum beats the shared-core one.
 #[test]
 fn isolation_arm_is_tighter_than_interfered_arm_in_golden() {
-    fn field<'a>(v: &'a serde::Value, key: &str) -> &'a serde::Value {
-        let serde::Value::Object(fields) = v else { panic!("expected object around `{key}`") };
-        &fields.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("missing `{key}`")).1
+    fn field<T: serde::Deserialize>(v: &serde::Value, key: &str) -> T {
+        serde::field(v, "wc_isolation", key).unwrap_or_else(|e| panic!("{e}"))
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/wc_isolation.json");
     let text = std::fs::read_to_string(path).expect("the wc_isolation golden is readable");
     let detail = serde_json::value_from_str(&text).expect("golden parses");
-    let serde::Value::Array(arms) = field(&detail, "arms") else { panic!("arms array") };
+    let arms: Vec<serde::Value> = field(&detail, "arms");
     let max_of = |iso: bool| {
         arms.iter()
-            .filter(|a| matches!(field(a, "isolated"), serde::Value::Bool(b) if *b == iso))
-            .map(|a| match field(field(field(a, "report"), "high"), "max") {
-                serde::Value::UInt(n) => *n,
-                other => panic!("high.max not an integer: {other:?}"),
+            .filter(|a| field::<bool>(a, "isolated") == iso)
+            .map(|a| {
+                let high: serde::Value = field(&field::<serde::Value>(a, "report"), "high");
+                field::<u128>(&high, "max")
             })
             .max()
             .expect("arm present")
