@@ -13,7 +13,7 @@ use xui_workloads::programs::{Instrument, WorkloadSpec, POLL_FLAG_ADDR};
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
-use crate::spec::NamedWorkload;
+use crate::spec::{AblationMultiworker, AblationPolling, AblationStrategies, AblationWindow};
 
 #[derive(Serialize)]
 struct MultiworkerRow {
@@ -28,13 +28,8 @@ struct MultiworkerRow {
 /// Ablation: scaling the Aspen-like runtime across workers with work
 /// stealing (§5.3) — an extension beyond the paper's single-worker
 /// Figure 7.
-pub(crate) fn multiworker(
-    per_worker_krps: f64,
-    worker_counts: &[usize],
-    duration: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn multiworker(p: &AblationMultiworker, bench: &BenchOpts, sink: &mut Sink) {
+    let AblationMultiworker { per_worker_krps, ref worker_counts, duration } = *p;
     let points = worker_counts.to_vec();
     let rows = run_sweep(Sweep::new(points), bench, |&workers, _ctx| {
         let mut cfg = ServerConfig::paper(
@@ -100,14 +95,8 @@ struct PollingRow {
 
 /// Ablation: shared-memory polling vs tracked interrupts, per-event
 /// (§4.2 "Cheaper than shared memory notification?").
-pub(crate) fn polling_vs_tracked(
-    benchmarks: &[WorkloadSpec],
-    periods: &[u64],
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
-    let max = max_cycles;
+pub(crate) fn polling_vs_tracked(p: &AblationPolling, bench: &BenchOpts, sink: &mut Sink) {
+    let AblationPolling { ref benchmarks, ref periods, max_cycles: max } = *p;
     let points: Vec<(WorkloadSpec, u64)> = benchmarks
         .iter()
         .flat_map(|&spec| periods.iter().map(move |&p| (spec, p)))
@@ -193,15 +182,8 @@ fn strategy_name(s: DeliveryStrategy) -> &'static str {
 /// flush (Sapphire Rapids, §3.5), drain (stock gem5, §5.2), and xUI
 /// tracking (§4.2) — on per-event cost, delivery latency, and wasted
 /// work.
-pub(crate) fn strategies(
-    benchmarks: &[NamedWorkload],
-    strategies: &[DeliveryStrategy],
-    period: u64,
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
-    let max = max_cycles;
+pub(crate) fn strategies(p: &AblationStrategies, bench: &BenchOpts, sink: &mut Sink) {
+    let AblationStrategies { ref benchmarks, ref strategies, period, max_cycles: max } = *p;
 
     // One point per workload: the baseline run is shared across the
     // strategy runs, so a point yields one row per strategy.
@@ -288,15 +270,8 @@ fn scaled(mut cfg: SystemConfig, scale: f64) -> SystemConfig {
 /// Ablation: interrupt cost versus speculation-window size (§2: the
 /// flush penalty grows with the window; §4.2: tracking throws nothing
 /// away).
-pub(crate) fn window(
-    workload: &WorkloadSpec,
-    scales: &[f64],
-    period: u64,
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
-    let max = max_cycles;
+pub(crate) fn window(p: &AblationWindow, bench: &BenchOpts, sink: &mut Sink) {
+    let AblationWindow { ref workload, ref scales, period, max_cycles: max } = *p;
     let w = workload.build(Instrument::None);
 
     let points = scales.to_vec();

@@ -22,6 +22,7 @@ use xui_telemetry::{Event, NullRecorder};
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::FaultsSuite;
 
 /// The scenario names of the default suite, in canonical order.
 const SUITE: [&str; 11] = [
@@ -386,8 +387,8 @@ fn run_scenario(name: &str) -> Outcome {
 }
 
 /// Runs the named scenarios. Returns whether every scenario passed.
-pub(crate) fn run(scenarios: &[String], bench: &BenchOpts, sink: &mut Sink) -> bool {
-    let names = scenarios.to_vec();
+pub(crate) fn run(p: &FaultsSuite, bench: &BenchOpts, sink: &mut Sink) -> bool {
+    let names = p.scenarios.clone();
     let results =
         run_sweep(Sweep::new(names), bench, |name, _ctx| run_scenario(name));
 

@@ -12,6 +12,7 @@ use super::run_sweep;
 use crate::report::{save_metrics, save_trace_points};
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig2Timeline;
 
 #[derive(Serialize)]
 struct Timeline {
@@ -23,13 +24,8 @@ struct Timeline {
     telemetry: Vec<xui_telemetry::Event>,
 }
 
-pub(crate) fn run(
-    sender_countdown: u64,
-    receiver_countdown: u64,
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &Fig2Timeline, bench: &BenchOpts, sink: &mut Sink) {
+    let Fig2Timeline { sender_countdown, receiver_countdown, max_cycles } = *p;
     // A single traced scenario still goes through the sweep harness so
     // the experiment honours --threads like every other figure.
     let mut results = run_sweep(Sweep::new(vec![()]), bench, |&(), _ctx| {

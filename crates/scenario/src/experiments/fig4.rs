@@ -11,6 +11,7 @@ use xui_workloads::programs::{Instrument, Workload, WorkloadSpec};
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig4ReceiverOverhead;
 
 #[derive(Serialize)]
 struct Row {
@@ -23,14 +24,8 @@ struct Row {
     kb_timer_overhead_pct: f64,
 }
 
-pub(crate) fn run(
-    benchmarks: &[WorkloadSpec],
-    period: u64,
-    send_latency: u64,
-    max: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &Fig4ReceiverOverhead, bench: &BenchOpts, sink: &mut Sink) {
+    let Fig4ReceiverOverhead { ref benchmarks, period, send_latency, max_cycles: max } = *p;
     let points: Vec<WorkloadSpec> = benchmarks.to_vec();
     let rows = run_sweep(Sweep::new(points), bench, |spec, _ctx| {
         let w: Workload = spec.build(Instrument::None);

@@ -11,6 +11,7 @@ use xui_workloads::programs::{Instrument, WorkloadSpec, POLL_FLAG_ADDR};
 use super::run_sweep;
 use crate::{AsciiChart, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig5Safepoints;
 
 #[derive(Serialize)]
 struct Row {
@@ -21,13 +22,8 @@ struct Row {
     polling_pct: f64,
 }
 
-pub(crate) fn run(
-    benchmarks: &[WorkloadSpec],
-    quanta_us: &[f64],
-    max: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &Fig5Safepoints, bench: &BenchOpts, sink: &mut Sink) {
+    let Fig5Safepoints { ref benchmarks, ref quanta_us, max_cycles: max } = *p;
     // One sweep point per benchmark: the baseline run is shared across
     // the quantum sweep for that benchmark, so it lives inside the point.
     let points: Vec<WorkloadSpec> = benchmarks.to_vec();

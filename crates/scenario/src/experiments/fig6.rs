@@ -11,6 +11,7 @@ use super::run_sweep;
 use crate::report::save_trace;
 use crate::{pct, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig6TimerCore;
 
 #[derive(Serialize)]
 struct Row {
@@ -22,13 +23,8 @@ struct Row {
     xui_util: f64,
 }
 
-pub(crate) fn run(
-    intervals_us: &[f64],
-    receiver_counts: &[usize],
-    ticks: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &Fig6TimerCore, bench: &BenchOpts, sink: &mut Sink) {
+    let Fig6TimerCore { ref intervals_us, ref receiver_counts, ticks } = *p;
     let points: Vec<(f64, usize)> = intervals_us
         .iter()
         .flat_map(|&us| receiver_counts.iter().map(move |&n| (us, n)))

@@ -12,6 +12,7 @@ use xui_telemetry::NullRecorder;
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig7Rocksdb;
 
 #[derive(Serialize)]
 struct Row {
@@ -32,13 +33,12 @@ fn mech_name(m: PreemptMechanism) -> &'static str {
 }
 
 pub(crate) fn run(
-    loads_krps: &[f64],
-    mechanisms: &[PreemptMechanism],
-    slo_us: f64,
+    p: &Fig7Rocksdb,
     faults: Option<&FaultPlan>,
     bench: &BenchOpts,
     sink: &mut Sink,
 ) {
+    let Fig7Rocksdb { ref loads_krps, ref mechanisms, slo_us } = *p;
     let points: Vec<(PreemptMechanism, f64)> = mechanisms
         .iter()
         .flat_map(|&m| loads_krps.iter().map(move |&krps| (m, krps)))

@@ -12,6 +12,7 @@ use xui_telemetry::NullRecorder;
 use super::run_sweep;
 use crate::{pct, AsciiChart, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Fig8L3fwd;
 
 #[derive(Serialize)]
 struct Row {
@@ -33,13 +34,12 @@ fn mode_name(m: IoMode) -> &'static str {
 }
 
 pub(crate) fn run(
-    loads: &[f64],
-    nic_counts: &[usize],
-    modes: &[IoMode],
+    p: &Fig8L3fwd,
     faults: Option<&FaultPlan>,
     bench: &BenchOpts,
     sink: &mut Sink,
 ) {
+    let Fig8L3fwd { ref loads, ref nic_counts, ref modes } = *p;
     let mut points: Vec<(usize, f64, IoMode, &'static str)> = Vec::new();
     for &nics in nic_counts {
         for &load in loads {

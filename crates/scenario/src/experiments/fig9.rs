@@ -9,7 +9,7 @@ use xui_accel::{run_offload, CompletionMode, OffloadConfig, RequestKind};
 use super::run_sweep;
 use crate::{pct, AsciiChart, BenchOpts, Sweep, Table};
 use crate::runner::Sink;
-use crate::spec::DsaMode;
+use crate::spec::{DsaMode, Fig9Dsa};
 
 #[derive(Serialize)]
 struct Row {
@@ -36,13 +36,8 @@ fn completion(mode: DsaMode, kind: RequestKind) -> CompletionMode {
     }
 }
 
-pub(crate) fn run(
-    kinds: &[RequestKind],
-    noise_levels_pct: &[u64],
-    modes: &[DsaMode],
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &Fig9Dsa, bench: &BenchOpts, sink: &mut Sink) {
+    let Fig9Dsa { ref kinds, ref noise_levels_pct, ref modes } = *p;
     let mut points: Vec<(RequestKind, &'static str, u64, CompletionMode, &'static str)> =
         Vec::new();
     for &kind in kinds {

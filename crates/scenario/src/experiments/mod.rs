@@ -1,7 +1,8 @@
 //! Experiment implementations, one module per paper figure / table /
 //! extension. Each enumerates its sweep points, evaluates them through
-//! [`run_sweep`], prints a table and emits its JSON artifacts; the
-//! parameters arrive from a [`crate::spec::Experiment`] value.
+//! [`run_sweep`], prints a table and emits its JSON artifacts; its
+//! `run` takes the payload struct of its [`crate::spec::Experiment`]
+//! variant.
 
 use crate::executor::{Sweep, SweepCtx};
 use crate::runner::BenchOpts;

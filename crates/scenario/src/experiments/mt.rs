@@ -16,6 +16,7 @@ use super::run_sweep;
 use crate::report::save_metrics;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::MultiTenant;
 
 #[derive(Serialize)]
 struct Row {
@@ -51,20 +52,17 @@ fn us(cycles: f64) -> f64 {
     cycles / 2_000.0
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    id: &str,
-    tenant_counts: &[usize],
-    cores: usize,
-    clients_per_tenant: u64,
-    rps_per_client: f64,
-    mechanisms: &[PreemptMechanism],
-    quantum: u64,
-    duration: u64,
-    arrival_batch: usize,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(id: &str, p: &MultiTenant, bench: &BenchOpts, sink: &mut Sink) {
+    let MultiTenant {
+        ref tenant_counts,
+        cores,
+        clients_per_tenant,
+        rps_per_client,
+        ref mechanisms,
+        quantum,
+        duration,
+        arrival_batch,
+    } = *p;
     let points: Vec<(PreemptMechanism, usize)> = mechanisms
         .iter()
         .flat_map(|&m| tenant_counts.iter().map(move |&n| (m, n)))

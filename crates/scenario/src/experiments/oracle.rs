@@ -15,6 +15,7 @@ use xui_oracle::{fuzz_one, reproducer_json, Reproducer};
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::OracleFuzz;
 
 /// Frozen default base seed for the fuzz corpus.
 pub(crate) const DEFAULT_SEED: u64 = 0x0D1F_F0A2_ACE5_EED5;
@@ -35,12 +36,12 @@ struct Summary {
 
 /// Runs the corpus. Returns whether every schedule agreed across models.
 pub(crate) fn run(
-    full: u64,
-    sim: u64,
+    p: &OracleFuzz,
     base_seed: Option<u64>,
     bench: &BenchOpts,
     sink: &mut Sink,
 ) -> bool {
+    let OracleFuzz { full, sim } = *p;
     let base_seed = base_seed.unwrap_or(DEFAULT_SEED);
     println!(
         "  corpus: {full} full-alphabet + {sim} sim-class schedules, base seed {base_seed:#x}\n"

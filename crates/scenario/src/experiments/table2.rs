@@ -13,6 +13,7 @@ use xui_workloads::programs::{
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::Table2UipiMetrics;
 
 /// Measures steady-state cycles per iteration of `prog` minus `base`.
 fn per_iter_delta(prog: Program, base: Program, n: u64, suppressed_receiver: bool) -> f64 {
@@ -59,7 +60,8 @@ struct Row {
     measured_cycles: f64,
 }
 
-pub(crate) fn run(send_iters: u64, uif_iters: u64, bench: &BenchOpts, sink: &mut Sink) {
+pub(crate) fn run(p: &Table2UipiMetrics, bench: &BenchOpts, sink: &mut Sink) {
+    let Table2UipiMetrics { send_iters, uif_iters } = *p;
     let n = send_iters;
     let measured = run_sweep(
         Sweep::new(vec!["senduipi", "clui", "stui", "recv"]),

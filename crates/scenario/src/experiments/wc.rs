@@ -38,6 +38,7 @@ use xui_workloads::programs::{Instrument, WorkloadSpec};
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::WorstCase;
 
 /// KB_Timer period of the calibration probes, in cycles.
 const PROBE_PERIOD: u64 = 2_000;
@@ -105,20 +106,22 @@ fn probe(knobs: InterferenceConfig, max_cycles: u64) -> (f64, u64) {
     (r.mean_delivery_latency(), r.max_delivery_latency())
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     id: &str,
-    kinds: &[InterferenceKind],
-    interferer_counts: &[u32],
-    mixes: &[CriticalityMix],
-    isolation: &[bool],
-    duration: u64,
-    deadline: u64,
-    probe_max_cycles: u64,
+    p: &WorstCase,
     faults: Option<&FaultPlan>,
     bench: &BenchOpts,
     sink: &mut Sink,
 ) -> bool {
+    let WorstCase {
+        ref kinds,
+        ref interferer_counts,
+        ref mixes,
+        ref isolation,
+        duration,
+        deadline,
+        probe_max_cycles,
+    } = *p;
     // Phase 1: calibration probes. The clean probe anchors the DES
     // model's base delivery cost; the interfered probes document how
     // the cycle-level delivery path responds to the same knobs the DES

@@ -7,11 +7,12 @@ use serde::Serialize;
 
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
-use xui_workloads::programs::{sp_dependent_chain, Instrument, WorkloadSpec};
+use xui_workloads::programs::{sp_dependent_chain, Instrument};
 
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::X1WorstCase;
 
 #[derive(Serialize)]
 struct Row {
@@ -20,17 +21,8 @@ struct Row {
     flush_max_latency: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    chain_lens: &[usize],
-    nodes: usize,
-    iters: u64,
-    device_period: u64,
-    typical: &WorkloadSpec,
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &X1WorstCase, bench: &BenchOpts, sink: &mut Sink) {
+    let X1WorstCase { ref chain_lens, nodes, iters, device_period, ref typical, max_cycles } = *p;
     let max = max_cycles;
     let points = chain_lens.to_vec();
     let rows = run_sweep(Sweep::new(points), bench, |&chain, _ctx| {

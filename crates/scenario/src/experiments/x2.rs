@@ -7,11 +7,12 @@ use serde::Serialize;
 
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
-use xui_workloads::programs::{pointer_chase, Instrument, WorkloadSpec};
+use xui_workloads::programs::{pointer_chase, Instrument};
 
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::X2FlushForensics;
 
 #[derive(Serialize)]
 struct LatencyRow {
@@ -27,17 +28,15 @@ struct SquashRow {
     per_interrupt: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    chase_nodes: &[usize],
-    chase_iters: u64,
-    timer_period: u64,
-    squash_workload: &WorkloadSpec,
-    squash_periods: &[u64],
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &X2FlushForensics, bench: &BenchOpts, sink: &mut Sink) {
+    let X2FlushForensics {
+        ref chase_nodes,
+        chase_iters,
+        timer_period,
+        ref squash_workload,
+        ref squash_periods,
+        max_cycles,
+    } = *p;
     let max = max_cycles;
 
     // Part 1: UIPI delivery latency vs pointer-chase working set.

@@ -12,6 +12,7 @@ use xui_workloads::programs::critical_section_loop;
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::X3SignalCosts;
 
 fn run_program(p: Program) -> u64 {
     let mut sys = System::new(SystemConfig::uipi(), vec![p]);
@@ -25,14 +26,8 @@ struct Results {
     clui_stui_tax_pct: f64,
 }
 
-pub(crate) fn run(
-    signals: u64,
-    signal_spacing: u64,
-    cs_iters: u64,
-    cs_body_len: usize,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &X3SignalCosts, bench: &BenchOpts, sink: &mut Sink) {
+    let X3SignalCosts { signals, signal_spacing, cs_iters, cs_body_len } = *p;
     // Signals.
     let mut model = SignalModel::new();
     for i in 0..signals {

@@ -17,6 +17,7 @@ use xui_workloads::programs::{tight_loop, Instrument, WorkloadSpec, POLL_FLAG_AD
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
 use crate::runner::Sink;
+use crate::spec::X4PollingTax;
 
 #[derive(Serialize)]
 struct Row {
@@ -25,13 +26,8 @@ struct Row {
     safepoint_tax_pct: f64,
 }
 
-pub(crate) fn run(
-    benchmarks: &[WorkloadSpec],
-    tight_iters: u64,
-    max_cycles: u64,
-    bench: &BenchOpts,
-    sink: &mut Sink,
-) {
+pub(crate) fn run(p: &X4PollingTax, bench: &BenchOpts, sink: &mut Sink) {
+    let X4PollingTax { ref benchmarks, tight_iters, max_cycles } = *p;
     let max = max_cycles;
 
     // The suite: instrumented vs plain, with NO flag writer (the tax is

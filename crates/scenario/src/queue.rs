@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use crate::executor::WorkerPool;
 use crate::runner::{self, RunOptions, RunReport};
@@ -23,8 +23,9 @@ use crate::spec::Scenario;
 /// Identifier of one submitted run, unique within a queue.
 pub type RunId = u64;
 
-/// Where a run is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// Where a run is in its lifecycle. Serializes as its lowercase
+/// [`name`](RunState::name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunState {
     /// Accepted and waiting for a worker.
     Queued,
@@ -57,6 +58,12 @@ impl RunState {
     }
 }
 
+impl Serialize for RunState {
+    fn to_value(&self) -> Value {
+        Value::Str(self.name().to_string())
+    }
+}
+
 /// A point-in-time view of one run, serializable for status endpoints.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunStatus {
@@ -64,8 +71,8 @@ pub struct RunStatus {
     pub id: RunId,
     /// Scenario name.
     pub scenario: String,
-    /// Lifecycle state name (`queued`/`running`/`done`/`failed`).
-    pub state: String,
+    /// Lifecycle state.
+    pub state: RunState,
     /// The experiment's own pass criterion, once terminal.
     pub passed: Option<bool>,
     /// Failure description, when `failed`.
@@ -112,7 +119,7 @@ pub enum CancelError {
     /// are not interruptible) or it already reached a terminal state.
     NotCancellable {
         /// The state the run was in (`running`/`done`/`failed`).
-        state: String,
+        state: RunState,
     },
 }
 
@@ -121,7 +128,7 @@ impl std::fmt::Display for CancelError {
         match self {
             Self::NotFound => f.write_str("unknown run id"),
             Self::NotCancellable { state } => {
-                write!(f, "only queued runs can be cancelled; this run is {state}")
+                write!(f, "only queued runs can be cancelled; this run is {}", state.name())
             }
         }
     }
@@ -154,7 +161,7 @@ impl Entry {
         RunStatus {
             id,
             scenario: self.scenario.clone(),
-            state: self.state.name().to_string(),
+            state: self.state,
             passed: self.passed,
             error: self.error.clone(),
             artifacts: self
@@ -350,9 +357,8 @@ impl RunQueue {
         let mut entries = self.inner.entries.lock().expect("run entries poisoned");
         loop {
             let status = entries.get(&id)?.status(id);
-            let terminal = matches!(status.state.as_str(), "done" | "failed");
             let now = Instant::now();
-            if terminal || now >= deadline {
+            if status.state.is_terminal() || now >= deadline {
                 return Some(status);
             }
             let (guard, _) = self
@@ -436,7 +442,7 @@ mod tests {
         let q = RunQueue::new(2, 8);
         let id = q.submit(fast_scenario(), RunOptions::default()).expect("submit");
         let status = q.wait_terminal(id, Duration::from_secs(120)).expect("known run");
-        assert_eq!(status.state, "done");
+        assert_eq!(status.state, RunState::Done);
         assert_eq!(status.passed, Some(true));
         assert!(!status.artifacts.is_empty());
 
@@ -454,9 +460,14 @@ mod tests {
     fn invalid_scenario_is_rejected_at_submit() {
         let q = RunQueue::new(1, 2);
         let mut sc = fast_scenario();
-        sc.topology.app_cores = 1;
+        let crate::spec::Experiment::Fig2Timeline(p) = &mut sc.experiment else {
+            panic!("wrong experiment")
+        };
+        (p.sender_countdown, p.receiver_countdown) = (1_000, 500);
         let err = q.submit(sc, RunOptions::default()).unwrap_err();
         assert!(matches!(err, SubmitError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("spinning"), "{err}");
+        assert!(q.list().is_empty(), "a rejected submission leaves no entry");
         q.shutdown();
     }
 
@@ -483,12 +494,12 @@ mod tests {
         q.shutdown();
         for id in ids {
             let s = q.status(id).expect("accepted runs stay tracked");
-            match s.state.as_str() {
-                "done" => assert_eq!(s.passed, Some(true)),
-                "failed" => {
+            match s.state {
+                RunState::Done => assert_eq!(s.passed, Some(true)),
+                RunState::Failed => {
                     assert!(s.error.as_deref().unwrap_or("").contains("cancelled"), "{s:?}");
                 }
-                other => panic!("non-terminal state after shutdown: {other}"),
+                other => panic!("non-terminal state after shutdown: {other:?}"),
             }
         }
         assert!(matches!(
@@ -519,20 +530,20 @@ mod tests {
         let waiting = q.submit(fast_scenario(), RunOptions::default()).expect("submit waiting");
 
         let status = q.cancel(waiting).expect("queued runs cancel");
-        assert_eq!(status.state, "failed");
+        assert_eq!(status.state, RunState::Failed);
         assert!(status.error.as_deref().unwrap_or("").contains("cancelled"), "{status:?}");
         assert_eq!(
             q.cancel(waiting),
-            Err(CancelError::NotCancellable { state: "failed".to_string() }),
+            Err(CancelError::NotCancellable { state: RunState::Failed }),
             "terminal runs are history"
         );
 
         drop(held);
         let done = q.wait_terminal(busy, Duration::from_secs(120)).expect("known run");
-        assert_eq!(done.state, "done", "cancellation must not touch the busy worker");
+        assert_eq!(done.state, RunState::Done, "cancellation must not touch the busy worker");
         assert_eq!(
             q.cancel(busy),
-            Err(CancelError::NotCancellable { state: "done".to_string() })
+            Err(CancelError::NotCancellable { state: RunState::Done })
         );
         q.shutdown();
     }
@@ -550,12 +561,12 @@ mod tests {
         let q = RunQueue::new(1, 2);
         let bad = q.submit(fast_scenario(), opts).expect("submit panicking run");
         let status = q.wait_terminal(bad, Duration::from_secs(120)).expect("known run");
-        assert_eq!(status.state, "failed");
+        assert_eq!(status.state, RunState::Failed);
         assert_eq!(status.error.as_deref(), Some("run panicked: hook bug"));
         // The one worker survived the unwind and runs the next job.
         let good = q.submit(fast_scenario(), RunOptions::default()).expect("submit");
         let status = q.wait_terminal(good, Duration::from_secs(120)).expect("known run");
-        assert_eq!(status.state, "done");
+        assert_eq!(status.state, RunState::Done);
         q.shutdown();
     }
 
@@ -576,6 +587,15 @@ mod tests {
         assert_eq!(states, vec![RunState::Queued, RunState::Running, RunState::Done]);
     }
 
+    /// `/api/runs` bodies carry the state as its lowercase name.
+    #[test]
+    fn run_state_serializes_as_its_lowercase_name() {
+        for st in [RunState::Queued, RunState::Running, RunState::Done, RunState::Failed] {
+            let json = serde_json::to_string(&st).expect("serializes");
+            assert_eq!(json, format!("\"{}\"", st.name()));
+        }
+    }
+
     #[test]
     fn progress_hook_reports_artifacts_in_emission_order() {
         let seen: Arc<StdMutex<Vec<RunProgress>>> = Arc::new(StdMutex::new(Vec::new()));
@@ -588,7 +608,7 @@ mod tests {
         let id = q.submit(fast_scenario(), opts).expect("submit");
         let status = q.wait_terminal(id, Duration::from_secs(120)).expect("known run");
         q.shutdown();
-        assert_eq!(status.state, "done");
+        assert_eq!(status.state, RunState::Done);
         let seen = seen.lock().unwrap();
         assert!(matches!(seen.first(), Some(RunProgress::Started { .. })));
         assert!(matches!(seen.last(), Some(RunProgress::Finished { passed: true, .. })));

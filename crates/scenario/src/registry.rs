@@ -12,15 +12,18 @@ use xui_runtime::worstcase::{CriticalityMix, InterferenceKind};
 use xui_sim::config::DeliveryStrategy;
 use xui_workloads::programs::WorkloadSpec;
 
-use crate::spec::{DsaMode, Experiment, NamedWorkload, Scenario, TelemetryCaps, Topology};
+use crate::spec::{
+    AblationMultiworker, AblationPolling, AblationStrategies, AblationWindow, DsaMode, Experiment,
+    FaultsSuite, Fig2Timeline, Fig4ReceiverOverhead, Fig5Safepoints, Fig6TimerCore, Fig7Rocksdb,
+    Fig8L3fwd, Fig9Dsa, MultiTenant, NamedWorkload, OracleFuzz, Scenario, Table2UipiMetrics,
+    WorstCase, X1WorstCase, X2FlushForensics, X3SignalCosts, X4PollingTax,
+};
 
 fn scenario(
     name: &str,
     heading: &str,
     title: &str,
     paper_ref: &str,
-    topology: Topology,
-    telemetry: TelemetryCaps,
     experiment: Experiment,
 ) -> Scenario {
     Scenario {
@@ -28,10 +31,7 @@ fn scenario(
         heading: heading.to_string(),
         title: title.to_string(),
         paper_ref: paper_ref.to_string(),
-        backend: experiment.backend(),
-        topology,
         base_seed: None,
-        telemetry,
         faults: None,
         experiment,
     }
@@ -41,7 +41,6 @@ fn scenario(
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn all() -> Vec<Scenario> {
-    let none = TelemetryCaps::default();
     vec![
         scenario(
             "fig2_timeline",
@@ -49,13 +48,11 @@ pub fn all() -> Vec<Scenario> {
             "UIPI latency timeline (one traced send)",
             "§3.4 Fig 2: senduipi at 0; receiver interrupted at 380; \
              flush+refill 424; notification+delivery 262; uiret 10",
-            Topology::cores(2),
-            TelemetryCaps { trace: true, metrics: true },
-            Experiment::Fig2Timeline {
+            Experiment::Fig2Timeline(Fig2Timeline {
                 sender_countdown: 3_000,
                 receiver_countdown: 500_000,
                 max_cycles: 10_000_000,
-            },
+            }),
         ),
         scenario(
             "fig4_receiver_overhead",
@@ -63,9 +60,7 @@ pub fn all() -> Vec<Scenario> {
             "Reducing receiver overheads (5 µs interrupt interval)",
             "§6.1: per-event 645 (UIPI) → 231 (tracking) → 105 (KB_Timer+tracking); \
              total overhead 6.86% → 1.06% (6.9×)",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::Fig4ReceiverOverhead {
+            Experiment::Fig4ReceiverOverhead(Fig4ReceiverOverhead {
                 benchmarks: vec![
                     WorkloadSpec::Fib { iters: 150_000 },
                     WorkloadSpec::Linpack { iters: 80_000 },
@@ -74,7 +69,7 @@ pub fn all() -> Vec<Scenario> {
                 period: 10_000,
                 send_latency: 380,
                 max_cycles: 4_000_000_000,
-            },
+            }),
         ),
         scenario(
             "fig5_safepoints",
@@ -82,16 +77,14 @@ pub fn all() -> Vec<Scenario> {
             "Preemption with hardware safepoints vs UIPI vs compiler polling",
             "§6.1: at 5 µs, safepoints 1.2–1.5%, polling 8.5–11% (up to 10× \
              more than xUI); UIPI in between",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::Fig5Safepoints {
+            Experiment::Fig5Safepoints(Fig5Safepoints {
                 benchmarks: vec![
                     WorkloadSpec::Matmul { iters: 150_000, handler_work: 50 },
                     WorkloadSpec::Base64 { iters: 60_000, handler_work: 50 },
                 ],
                 quanta_us: vec![5.0, 10.0, 20.0, 50.0, 100.0],
                 max_cycles: 6_000_000_000,
-            },
+            }),
         ),
         scenario(
             "fig6_timer_core",
@@ -100,13 +93,11 @@ pub fn all() -> Vec<Scenario> {
             "§6.1: OS costs dominate at fine grain; senduipi fan-out grows with \
              receivers; rdtsc-spin supports 22 receivers @5 µs; xUI needs no \
              timer core at all",
-            Topology::cores(24).timers(1),
-            TelemetryCaps { trace: true, metrics: false },
-            Experiment::Fig6TimerCore {
+            Experiment::Fig6TimerCore(Fig6TimerCore {
                 intervals_us: vec![5.0, 25.0, 100.0, 1000.0],
                 receiver_counts: vec![0, 2, 4, 8, 12, 16, 20, 22, 24],
                 ticks: 40_000,
-            },
+            }),
         ),
         scenario(
             "fig7_rocksdb",
@@ -114,9 +105,7 @@ pub fn all() -> Vec<Scenario> {
             "RocksDB GET/SCAN tail latency vs offered load (5 µs quantum)",
             "§6.2.1: preemption bounds GET tails; xUI ≈ +10% GET throughput \
              over UIPI at the SLO, plus one core saved (the UIPI time source)",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::Fig7Rocksdb {
+            Experiment::Fig7Rocksdb(Fig7Rocksdb {
                 loads_krps: vec![
                     25.0, 50.0, 100.0, 150.0, 200.0, 230.0, 240.0, 250.0, 255.0, 260.0,
                     265.0, 270.0, 275.0,
@@ -128,7 +117,7 @@ pub fn all() -> Vec<Scenario> {
                     PreemptMechanism::XuiKbTimer,
                 ],
                 slo_us: 1_000.0,
-            },
+            }),
         ),
         scenario(
             "fig8_l3fwd",
@@ -136,13 +125,11 @@ pub fn all() -> Vec<Scenario> {
             "l3fwd: free cycles & p95 latency, polling vs xUI device interrupts",
             "§6.2.2: throughput parity (−0.08%); at 40% load, 1 queue, xUI \
              leaves 45% free; p95 within +2% / −8% / +65% for 1/4/8 NICs",
-            Topology::cores(1).nics(8),
-            none,
-            Experiment::Fig8L3fwd {
+            Experiment::Fig8L3fwd(Fig8L3fwd {
                 loads: vec![0.0, 0.1, 0.2, 0.4, 0.6, 0.8],
                 nic_counts: vec![1, 2, 4, 8],
                 modes: vec![IoMode::Polling, IoMode::XuiInterrupt],
-            },
+            }),
         ),
         scenario(
             "fig9_dsa",
@@ -151,22 +138,21 @@ pub fn all() -> Vec<Scenario> {
             "§6.2.3: spinning = min latency, 0 free; periodic polling frees \
              cycles but latency blows up for noisy 20 µs requests; xUI within \
              0.2 µs of spinning with ~75% free cycles @2 µs",
-            Topology::cores(1),
-            none,
-            Experiment::Fig9Dsa {
+            Experiment::Fig9Dsa(Fig9Dsa {
                 kinds: vec![RequestKind::Short, RequestKind::Long],
                 noise_levels_pct: vec![0, 25, 50, 75],
                 modes: vec![DsaMode::BusySpin, DsaMode::PeriodicPoll, DsaMode::XuiInterrupt],
-            },
+            }),
         ),
         scenario(
             "table2_uipi_metrics",
             "Table 2",
             "Key performance metrics of UIPIs (simulated)",
             "§3.4 Table 2, hardware = Intel Xeon Gold 5420+ @ 2 GHz",
-            Topology::cores(2),
-            none,
-            Experiment::Table2UipiMetrics { send_iters: 2_000, uif_iters: 10_000 },
+            Experiment::Table2UipiMetrics(Table2UipiMetrics {
+                send_iters: 2_000,
+                uif_iters: 10_000,
+            }),
         ),
         scenario(
             "x1_worst_case",
@@ -175,16 +161,14 @@ pub fn all() -> Vec<Scenario> {
             "paper: ≈7000 cycles worst case with ≥50-load chains; flushing an \
              order of magnitude less; typical benchmarks show the opposite \
              (tracking faster)",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::X1WorstCase {
+            Experiment::X1WorstCase(X1WorstCase {
                 chain_lens: vec![1, 10, 25, 50, 75],
                 nodes: 16_384,
                 iters: 4_000,
                 device_period: 25_000,
                 typical: WorkloadSpec::Fib { iters: 120_000 },
                 max_cycles: 8_000_000_000,
-            },
+            }),
         ),
         scenario(
             "x2_flush_forensics",
@@ -192,16 +176,14 @@ pub fn all() -> Vec<Scenario> {
             "Flush-strategy detection: latency vs in-flight work; flushed µops vs IRQs",
             "paper: no latency variation with chase size ⇒ flush; flushed µops \
              increase exactly linearly with interrupts received",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::X2FlushForensics {
+            Experiment::X2FlushForensics(X2FlushForensics {
                 chase_nodes: vec![64, 512, 4_096, 16_384],
                 chase_iters: 30_000,
                 timer_period: 50_000,
                 squash_workload: WorkloadSpec::PointerChase { nodes: 4_096, iters: 60_000 },
                 squash_periods: vec![200_000, 100_000, 50_000, 25_000],
                 max_cycles: 8_000_000_000,
-            },
+            }),
         ),
         scenario(
             "x3_signal_costs",
@@ -209,14 +191,12 @@ pub fn all() -> Vec<Scenario> {
             "Signal overhead and the clui/stui critical-section tax",
             "paper: ≈2.4 µs per signal (1.4 µs kernel path); clui/stui around \
              malloc() cost RocksDB 7% throughput",
-            Topology::cores(1),
-            none,
-            Experiment::X3SignalCosts {
+            Experiment::X3SignalCosts(X3SignalCosts {
                 signals: 1_000,
                 signal_spacing: 20_000,
                 cs_iters: 20_000,
                 cs_body_len: 480,
-            },
+            }),
         ),
         scenario(
             "x4_polling_tax",
@@ -224,9 +204,7 @@ pub fn all() -> Vec<Scenario> {
             "Standing cost of preemption checks with zero preemptions",
             "paper: Wasmtime up to ~50% on tight loops; Go ~7% geomean, 96% \
              worst case; safepoint markers ≈ free",
-            Topology::cores(1),
-            none,
-            Experiment::X4PollingTax {
+            Experiment::X4PollingTax(X4PollingTax {
                 benchmarks: vec![
                     WorkloadSpec::Fib { iters: 100_000 },
                     WorkloadSpec::Linpack { iters: 60_000 },
@@ -236,7 +214,7 @@ pub fn all() -> Vec<Scenario> {
                 ],
                 tight_iters: 300_000,
                 max_cycles: 6_000_000_000,
-            },
+            }),
         ),
         scenario(
             "mt_tenants",
@@ -245,9 +223,7 @@ pub fn all() -> Vec<Scenario> {
             "extension of §6.2.1: the kernel multiplexes each core's KB_Timer \
              across tenants, so tenancy adds no timer hardware; UIPI still \
              burns its dedicated software-timer core",
-            Topology::cores(8).timers(1),
-            TelemetryCaps { trace: false, metrics: true },
-            Experiment::MultiTenant {
+            Experiment::MultiTenant(MultiTenant {
                 tenant_counts: vec![4, 8, 16, 32],
                 cores: 8,
                 clients_per_tenant: 25_000,
@@ -256,7 +232,7 @@ pub fn all() -> Vec<Scenario> {
                 quantum: 10_000,
                 duration: 100_000_000,
                 arrival_batch: 1_024,
-            },
+            }),
         ),
         scenario(
             "mt_million_clients",
@@ -265,9 +241,7 @@ pub fn all() -> Vec<Scenario> {
             "extension of §6.2.1 at datacenter scale: the aggregate stream of \
              125 k clients per tenant costs one Poisson process and one engine \
              event per 1024 arrivals, not one per packet",
-            Topology::cores(8).timers(1),
-            TelemetryCaps { trace: false, metrics: true },
-            Experiment::MultiTenant {
+            Experiment::MultiTenant(MultiTenant {
                 tenant_counts: vec![8],
                 cores: 8,
                 clients_per_tenant: 125_000,
@@ -276,7 +250,7 @@ pub fn all() -> Vec<Scenario> {
                 quantum: 10_000,
                 duration: 100_000_000,
                 arrival_batch: 1_024,
-            },
+            }),
         ),
         scenario(
             "ablation_multiworker",
@@ -284,13 +258,11 @@ pub fn all() -> Vec<Scenario> {
             "xUI-preempted RocksDB across 1–4 workers with work stealing",
             "extension of Fig 7 (§5.3): per-worker load held at ~80% of the \
              single-worker SLO capacity",
-            Topology::cores(4),
-            none,
-            Experiment::AblationMultiworker {
+            Experiment::AblationMultiworker(AblationMultiworker {
                 per_worker_krps: 200.0,
                 worker_counts: vec![1, 2, 3, 4],
                 duration: 200_000_000,
-            },
+            }),
         ),
         scenario(
             "ablation_polling_vs_tracked",
@@ -298,9 +270,7 @@ pub fn all() -> Vec<Scenario> {
             "Per-notification cost and standing tax of shared-memory polling vs xUI",
             "§4.2: a positive poll ≈ invalidation miss + branch mispredict; \
              tracking with no UPID access ≈ 105 cycles with zero standing tax",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::AblationPolling {
+            Experiment::AblationPolling(AblationPolling {
                 benchmarks: vec![
                     WorkloadSpec::Fib { iters: 100_000 },
                     WorkloadSpec::Matmul { iters: 100_000, handler_work: 0 },
@@ -308,7 +278,7 @@ pub fn all() -> Vec<Scenario> {
                 ],
                 periods: vec![10_000, 50_000],
                 max_cycles: 6_000_000_000,
-            },
+            }),
         ),
         scenario(
             "ablation_strategies",
@@ -316,9 +286,7 @@ pub fn all() -> Vec<Scenario> {
             "Flush vs drain vs tracking on cost, latency and wasted work",
             "§3.5/§4.2: flush wastes work; drain delays delivery (latency grows \
              with in-flight misses); tracking avoids both",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::AblationStrategies {
+            Experiment::AblationStrategies(AblationStrategies {
                 benchmarks: vec![
                     NamedWorkload::plain(WorkloadSpec::Fib { iters: 100_000 }),
                     NamedWorkload::plain(WorkloadSpec::Linpack { iters: 60_000 }),
@@ -335,7 +303,7 @@ pub fn all() -> Vec<Scenario> {
                 ],
                 period: 10_000,
                 max_cycles: 6_000_000_000,
-            },
+            }),
         ),
         scenario(
             "ablation_window",
@@ -343,14 +311,12 @@ pub fn all() -> Vec<Scenario> {
             "Per-event interrupt cost vs ROB size (flush grows, tracking flat)",
             "§2: 'this will become more expensive' as in-flight instructions \
              increase; §4.2: tracking throws nothing away",
-            Topology::cores(1).timers(1),
-            none,
-            Experiment::AblationWindow {
+            Experiment::AblationWindow(AblationWindow {
                 workload: WorkloadSpec::Memops { iters: 80_000 },
                 scales: vec![0.5, 1.0, 2.0, 4.0],
                 period: 10_000,
                 max_cycles: 4_000_000_000,
-            },
+            }),
         ),
         wc_scenario(
             "wc_interference",
@@ -360,7 +326,7 @@ pub fn all() -> Vec<Scenario> {
             "ROADMAP worst-case band: exact max, jitter CDFs, and inversion \
              counts under co-located bulk tenants; bounded-latency obligation \
              on vector 63",
-            Experiment::WorstCase {
+            Experiment::WorstCase(WorstCase {
                 kinds: vec![
                     InterferenceKind::None,
                     InterferenceKind::Cache,
@@ -373,7 +339,7 @@ pub fn all() -> Vec<Scenario> {
                 duration: 240_000,
                 deadline: 10_000,
                 probe_max_cycles: 2_000_000,
-            },
+            }),
             FaultPlan::named("wc-interference-bursts")
                 .seed(17)
                 .interference_burst(40_000, 80_000, 40)
@@ -386,7 +352,7 @@ pub fn all() -> Vec<Scenario> {
              low-vector flood grows",
             "highest-vector-first delivery (§3.3): a pending high vector is \
              only delayed by one in-flight low delivery, never by queue depth",
-            Experiment::WorstCase {
+            Experiment::WorstCase(WorstCase {
                 kinds: vec![InterferenceKind::Cache],
                 interferer_counts: vec![4],
                 mixes: vec![
@@ -398,7 +364,7 @@ pub fn all() -> Vec<Scenario> {
                 duration: 240_000,
                 deadline: 10_000,
                 probe_max_cycles: 2_000_000,
-            },
+            }),
             FaultPlan::named("wc-mix-bursts")
                 .seed(23)
                 .interference_burst(60_000, 100_000, 50)
@@ -410,7 +376,7 @@ pub fn all() -> Vec<Scenario> {
             "Pinning delivery to a dedicated core under heavy membw interference",
             "mitigation arm: isolation trades a fixed steering cost for freedom \
              from interference multipliers and occupancy bursts",
-            Experiment::WorstCase {
+            Experiment::WorstCase(WorstCase {
                 kinds: vec![InterferenceKind::MemBw],
                 interferer_counts: vec![2, 8],
                 mixes: vec![CriticalityMix::standard()],
@@ -418,7 +384,7 @@ pub fn all() -> Vec<Scenario> {
                 duration: 240_000,
                 deadline: 10_000,
                 probe_max_cycles: 2_000_000,
-            },
+            }),
             FaultPlan::named("wc-isolation-bursts")
                 .seed(31)
                 .interference_burst(20_000, 70_000, 80)
@@ -430,7 +396,7 @@ pub fn all() -> Vec<Scenario> {
             "A deliberately impossible 700-tick deadline under a flood — must fail",
             "negative path: the bounded-latency obligation names the offending \
              event and observed latency, and `xui run` exits nonzero",
-            Experiment::WorstCase {
+            Experiment::WorstCase(WorstCase {
                 kinds: vec![InterferenceKind::Cache],
                 interferer_counts: vec![8],
                 mixes: vec![CriticalityMix::flood()],
@@ -438,7 +404,7 @@ pub fn all() -> Vec<Scenario> {
                 duration: 240_000,
                 deadline: 700,
                 probe_max_cycles: 2_000_000,
-            },
+            }),
             FaultPlan::named("wc-violation-bursts").seed(47).interference_burst(
                 30_000, 210_000, 60,
             ),
@@ -449,11 +415,9 @@ pub fn all() -> Vec<Scenario> {
             "deterministic fault-injection + cross-model conformance suite",
             "§3.3/§4 delivery contract under adversarial schedules; \
              graceful fallback-to-polling instead of lost wakeups",
-            Topology::cores(2).nics(2).timers(1),
-            none,
-            Experiment::FaultsSuite {
+            Experiment::FaultsSuite(FaultsSuite {
                 scenarios: crate::experiments::faults::default_suite(),
-            },
+            }),
         ),
         scenario(
             "oracle_fuzz",
@@ -462,15 +426,12 @@ pub fn all() -> Vec<Scenario> {
             "§3.3 SENDUIPI/notification, §4.3 KB_Timer, §4.5 forwarding: the \
              flat pseudocode oracle arbitrates the protocol, kernel, and \
              cycle-level models",
-            Topology::cores(2),
-            none,
-            Experiment::OracleFuzz { full: 10_000, sim: 1_000 },
+            Experiment::OracleFuzz(OracleFuzz { full: 10_000, sim: 1_000 }),
         ),
     ]
 }
 
-/// A worst-case-band preset: DES backend, two app cores (the isolation
-/// arm pins delivery to the second), and a fault plan attached (the
+/// A worst-case-band preset: a scenario with a fault plan attached (the
 /// `WorstCase` experiment honours `Scenario::faults`).
 fn wc_scenario(
     name: &str,
@@ -480,15 +441,7 @@ fn wc_scenario(
     experiment: Experiment,
     plan: FaultPlan,
 ) -> Scenario {
-    let mut sc = scenario(
-        name,
-        heading,
-        title,
-        paper_ref,
-        Topology::cores(2),
-        TelemetryCaps::default(),
-        experiment,
-    );
+    let mut sc = scenario(name, heading, title, paper_ref, experiment);
     sc.faults = Some(plan);
     sc
 }
@@ -519,7 +472,7 @@ mod tests {
         for name in ["wc_interference", "wc_mixed_criticality", "wc_isolation", "wc_bound_violation"]
         {
             let sc = find(name).unwrap_or_else(|| panic!("missing preset {name}"));
-            assert!(matches!(sc.experiment, Experiment::WorstCase { .. }), "{name}");
+            assert!(matches!(sc.experiment, Experiment::WorstCase(_)), "{name}");
             assert!(sc.faults.is_some(), "{name} must carry an interference plan");
             sc.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         }

@@ -1,7 +1,8 @@
 //! Executes a [`Scenario`]: validates it, checks the telemetry request
-//! against the scenario's capabilities, prints the banner, dispatches to
-//! the experiment implementation, and collects every JSON artifact the
-//! run produces (optionally also saving them under `results/`).
+//! against what the experiment supports, prints the banner, hands the
+//! experiment's payload to its implementation, and collects every JSON
+//! artifact the run produces (optionally also saving them under
+//! `results/`).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -11,7 +12,10 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use crate::cli::{CliError, Parsed};
-use crate::experiments;
+use crate::experiments::{
+    ablations, faults, fig2, fig4, fig5, fig6, fig7, fig8, fig9, mt, oracle, table2, wc, x1, x2,
+    x3, x4,
+};
 use crate::report::{banner, render_json, save_rendered};
 use crate::spec::{Experiment, Scenario};
 
@@ -222,10 +226,10 @@ impl Sink {
 /// criterion returns `Ok` with `passed == false`.
 pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
     sc.validate()?;
-    if opts.bench.trace.is_some() && !sc.telemetry.trace {
+    if opts.bench.trace.is_some() && !sc.experiment.supports_trace() {
         return Err(format!("scenario `{}` does not support --trace", sc.name));
     }
-    if opts.bench.metrics && !sc.telemetry.metrics {
+    if opts.bench.metrics && !sc.experiment.supports_metrics() {
         return Err(format!("scenario `{}` does not support --metrics", sc.name));
     }
 
@@ -233,173 +237,30 @@ pub fn run(sc: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
 
     opts.progress.emit(&RunProgress::Started { scenario: sc.name.clone() });
     let mut sink = Sink::new(opts.save, opts.progress.clone());
-    let bench = &opts.bench;
-    let passed = match &sc.experiment {
-        Experiment::Fig2Timeline { sender_countdown, receiver_countdown, max_cycles } => {
-            experiments::fig2::run(
-                *sender_countdown,
-                *receiver_countdown,
-                *max_cycles,
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::Fig4ReceiverOverhead { benchmarks, period, send_latency, max_cycles } => {
-            experiments::fig4::run(benchmarks, *period, *send_latency, *max_cycles, bench, &mut sink);
-            true
-        }
-        Experiment::Fig5Safepoints { benchmarks, quanta_us, max_cycles } => {
-            experiments::fig5::run(benchmarks, quanta_us, *max_cycles, bench, &mut sink);
-            true
-        }
-        Experiment::Fig6TimerCore { intervals_us, receiver_counts, ticks } => {
-            experiments::fig6::run(intervals_us, receiver_counts, *ticks, bench, &mut sink);
-            true
-        }
-        Experiment::Fig7Rocksdb { loads_krps, mechanisms, slo_us } => {
-            experiments::fig7::run(
-                loads_krps,
-                mechanisms,
-                *slo_us,
-                sc.faults.as_ref(),
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::Fig8L3fwd { loads, nic_counts, modes } => {
-            experiments::fig8::run(loads, nic_counts, modes, sc.faults.as_ref(), bench, &mut sink);
-            true
-        }
-        Experiment::Fig9Dsa { kinds, noise_levels_pct, modes } => {
-            experiments::fig9::run(kinds, noise_levels_pct, modes, bench, &mut sink);
-            true
-        }
-        Experiment::Table2UipiMetrics { send_iters, uif_iters } => {
-            experiments::table2::run(*send_iters, *uif_iters, bench, &mut sink);
-            true
-        }
-        Experiment::X1WorstCase { chain_lens, nodes, iters, device_period, typical, max_cycles } => {
-            experiments::x1::run(
-                chain_lens,
-                *nodes,
-                *iters,
-                *device_period,
-                typical,
-                *max_cycles,
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::X2FlushForensics {
-            chase_nodes,
-            chase_iters,
-            timer_period,
-            squash_workload,
-            squash_periods,
-            max_cycles,
-        } => {
-            experiments::x2::run(
-                chase_nodes,
-                *chase_iters,
-                *timer_period,
-                squash_workload,
-                squash_periods,
-                *max_cycles,
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::X3SignalCosts { signals, signal_spacing, cs_iters, cs_body_len } => {
-            experiments::x3::run(*signals, *signal_spacing, *cs_iters, *cs_body_len, bench, &mut sink);
-            true
-        }
-        Experiment::X4PollingTax { benchmarks, tight_iters, max_cycles } => {
-            experiments::x4::run(benchmarks, *tight_iters, *max_cycles, bench, &mut sink);
-            true
-        }
-        Experiment::MultiTenant {
-            tenant_counts,
-            cores,
-            clients_per_tenant,
-            rps_per_client,
-            mechanisms,
-            quantum,
-            duration,
-            arrival_batch,
-        } => {
-            experiments::mt::run(
-                &sc.name,
-                tenant_counts,
-                *cores,
-                *clients_per_tenant,
-                *rps_per_client,
-                mechanisms,
-                *quantum,
-                *duration,
-                *arrival_batch,
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::AblationMultiworker { per_worker_krps, worker_counts, duration } => {
-            experiments::ablations::multiworker(
-                *per_worker_krps,
-                worker_counts,
-                *duration,
-                bench,
-                &mut sink,
-            );
-            true
-        }
-        Experiment::AblationPolling { benchmarks, periods, max_cycles } => {
-            experiments::ablations::polling_vs_tracked(
-                benchmarks, periods, *max_cycles, bench, &mut sink,
-            );
-            true
-        }
-        Experiment::AblationStrategies { benchmarks, strategies, period, max_cycles } => {
-            experiments::ablations::strategies(
-                benchmarks, strategies, *period, *max_cycles, bench, &mut sink,
-            );
-            true
-        }
-        Experiment::AblationWindow { workload, scales, period, max_cycles } => {
-            experiments::ablations::window(workload, scales, *period, *max_cycles, bench, &mut sink);
-            true
-        }
-        Experiment::WorstCase {
-            kinds,
-            interferer_counts,
-            mixes,
-            isolation,
-            duration,
-            deadline,
-            probe_max_cycles,
-        } => experiments::wc::run(
-            &sc.name,
-            kinds,
-            interferer_counts,
-            mixes,
-            isolation,
-            *duration,
-            *deadline,
-            *probe_max_cycles,
-            sc.faults.as_ref(),
-            bench,
-            &mut sink,
-        ),
-        Experiment::FaultsSuite { scenarios } => {
-            experiments::faults::run(scenarios, bench, &mut sink)
-        }
-        Experiment::OracleFuzz { full, sim } => {
-            experiments::oracle::run(*full, *sim, sc.base_seed, bench, &mut sink)
-        }
-    };
+    let (bench, plan) = (&opts.bench, sc.faults.as_ref());
+    let mut passed = true;
+    match &sc.experiment {
+        Experiment::Fig2Timeline(p) => fig2::run(p, bench, &mut sink),
+        Experiment::Fig4ReceiverOverhead(p) => fig4::run(p, bench, &mut sink),
+        Experiment::Fig5Safepoints(p) => fig5::run(p, bench, &mut sink),
+        Experiment::Fig6TimerCore(p) => fig6::run(p, bench, &mut sink),
+        Experiment::Fig7Rocksdb(p) => fig7::run(p, plan, bench, &mut sink),
+        Experiment::Fig8L3fwd(p) => fig8::run(p, plan, bench, &mut sink),
+        Experiment::Fig9Dsa(p) => fig9::run(p, bench, &mut sink),
+        Experiment::Table2UipiMetrics(p) => table2::run(p, bench, &mut sink),
+        Experiment::X1WorstCase(p) => x1::run(p, bench, &mut sink),
+        Experiment::X2FlushForensics(p) => x2::run(p, bench, &mut sink),
+        Experiment::X3SignalCosts(p) => x3::run(p, bench, &mut sink),
+        Experiment::X4PollingTax(p) => x4::run(p, bench, &mut sink),
+        Experiment::MultiTenant(p) => mt::run(&sc.name, p, bench, &mut sink),
+        Experiment::AblationMultiworker(p) => ablations::multiworker(p, bench, &mut sink),
+        Experiment::AblationPolling(p) => ablations::polling_vs_tracked(p, bench, &mut sink),
+        Experiment::AblationStrategies(p) => ablations::strategies(p, bench, &mut sink),
+        Experiment::AblationWindow(p) => ablations::window(p, bench, &mut sink),
+        Experiment::WorstCase(p) => passed = wc::run(&sc.name, p, plan, bench, &mut sink),
+        Experiment::FaultsSuite(p) => passed = faults::run(p, bench, &mut sink),
+        Experiment::OracleFuzz(p) => passed = oracle::run(p, sc.base_seed, bench, &mut sink),
+    }
 
     if let Some(id) = sink.duplicate {
         return Err(format!(

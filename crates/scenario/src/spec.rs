@@ -1,14 +1,16 @@
 //! The serializable scenario specification.
 //!
 //! A [`Scenario`] is the complete, declarative description of one
-//! experiment: what hardware shape it assumes ([`Topology`]), which
-//! execution backend family it runs on ([`Backend`]), what workload and
-//! sweep parameters it measures ([`Experiment`]), which telemetry sinks
-//! it can feed ([`TelemetryCaps`]), and an optional [`FaultPlan`] to
-//! inject. Every named preset in [`crate::registry`] is one of these
-//! values, and the same struct round-trips through JSON so a scenario
-//! can live in a file instead of a recompiled binary
-//! (`xui run path/to/scenario.json`).
+//! experiment: its banner text, what workload and sweep parameters it
+//! measures ([`Experiment`], one payload struct per experiment), an
+//! optional [`FaultPlan`] to inject, and an optional base seed. The
+//! execution backend and the telemetry sinks an experiment can feed
+//! follow from its variant ([`Experiment::backend`],
+//! [`Experiment::supports_trace`], [`Experiment::supports_metrics`]), so
+//! a scenario file cannot claim what its experiment does not do. Every
+//! named preset in [`crate::registry`] is one of these values, and the
+//! same struct round-trips through JSON so a scenario can live in a file
+//! instead of a recompiled binary (`xui run path/to/scenario.json`).
 
 use serde::{Deserialize, Serialize};
 
@@ -20,11 +22,9 @@ use xui_runtime::worstcase::{CriticalityMix, InterferenceKind};
 use xui_sim::config::DeliveryStrategy;
 use xui_workloads::programs::WorkloadSpec;
 
-/// Which execution engine family a scenario runs on. Purely declarative:
-/// the [`Experiment`] determines the code path, and
-/// [`Scenario::validate`] checks the two agree, so a scenario file
-/// cannot claim a cycle-level experiment runs on the DES backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Which execution engine family an experiment runs on, as reported by
+/// `xui list` and `GET /api/scenarios`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The cycle-level out-of-order pipeline simulator (`xui-sim`).
     CycleSim,
@@ -45,54 +45,6 @@ impl Backend {
             Self::Oracle => "oracle",
         }
     }
-}
-
-/// The hardware shape a scenario assumes: how many application cores it
-/// schedules, how many NIC rings it drains, and how many dedicated
-/// timer cores it burns. [`Scenario::validate`] checks the experiment's
-/// sweep maxima fit inside these bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Topology {
-    /// Cores running application (or receiver) work.
-    pub app_cores: usize,
-    /// NIC descriptor rings (l3fwd experiments).
-    pub nic_rings: usize,
-    /// Dedicated timer/sender cores (UIPI software timers).
-    pub timer_cores: usize,
-}
-
-impl Topology {
-    /// A topology with `app_cores` application cores and nothing else.
-    #[must_use]
-    pub fn cores(app_cores: usize) -> Self {
-        Self { app_cores, nic_rings: 0, timer_cores: 0 }
-    }
-
-    /// Adds NIC rings.
-    #[must_use]
-    pub fn nics(mut self, nic_rings: usize) -> Self {
-        self.nic_rings = nic_rings;
-        self
-    }
-
-    /// Adds dedicated timer cores.
-    #[must_use]
-    pub fn timers(mut self, timer_cores: usize) -> Self {
-        self.timer_cores = timer_cores;
-        self
-    }
-}
-
-/// Which telemetry sinks an experiment can feed. These are capability
-/// flags, not switches: the actual `--trace PATH` / `--metrics` request
-/// arrives in [`BenchOpts`](crate::runner::BenchOpts), and the runner rejects requests
-/// the scenario cannot honour instead of silently ignoring them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TelemetryCaps {
-    /// The experiment can export a Chrome trace.
-    pub trace: bool,
-    /// The experiment can save a metrics snapshot.
-    pub metrics: bool,
 }
 
 /// A workload plus the label it prints in result tables, for sweeps
@@ -145,245 +97,325 @@ impl DsaMode {
 }
 
 /// The experiment a scenario measures: one variant per paper figure /
-/// table / extension, carrying that experiment's sweep axes and
-/// constants as data. The runner lowers each variant onto the existing
-/// crates; the `xui` CLI and the `xui serve` control plane both go
+/// table / extension, each carrying its payload struct of sweep axes and
+/// constants as data. The runner hands each payload to its experiment
+/// module; the `xui` CLI and the `xui serve` control plane both go
 /// through exactly this type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Experiment {
     /// Figure 2: one traced send, reconstructed step by step.
-    Fig2Timeline {
-        /// Sender spin iterations before the `SENDUIPI`.
-        sender_countdown: u64,
-        /// Receiver spin iterations (must outlast the sender).
-        receiver_countdown: u64,
-        /// Simulation cycle budget.
-        max_cycles: u64,
-    },
+    Fig2Timeline(Fig2Timeline),
     /// Figure 4: receiver-side overhead of periodic interrupts under
     /// UIPI flush, xUI tracking, and xUI KB_Timer + tracking.
-    Fig4ReceiverOverhead {
-        /// Benchmarks interrupted (paper: fib, linpack, memops).
-        benchmarks: Vec<WorkloadSpec>,
-        /// Interrupt period in cycles (paper: 5 µs = 10,000).
-        period: u64,
-        /// SW-timer send latency in cycles.
-        send_latency: u64,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    Fig4ReceiverOverhead(Fig4ReceiverOverhead),
     /// Figure 5: preemption overhead of hardware safepoints vs UIPI vs
     /// Concord-style compiler polling, across preemption quanta.
-    Fig5Safepoints {
-        /// Benchmarks (paper: matmul, base64, with handler work
-        /// modelling the user-level context switch).
-        benchmarks: Vec<WorkloadSpec>,
-        /// Preemption quanta in microseconds.
-        quanta_us: Vec<f64>,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    Fig5Safepoints(Fig5Safepoints),
     /// Figure 6: CPU cost of a dedicated timer core vs per-core
     /// KB_Timers, across intervals and receiver counts.
-    Fig6TimerCore {
-        /// Timer intervals in microseconds.
-        intervals_us: Vec<f64>,
-        /// Receiver counts fanned out to per tick.
-        receiver_counts: Vec<usize>,
-        /// Timer ticks simulated per point.
-        ticks: u64,
-    },
+    Fig6TimerCore(Fig6TimerCore),
     /// Figure 7: RocksDB-on-Aspen tail latency vs offered load, per
     /// preemption mechanism. Honours [`Scenario::faults`].
-    Fig7Rocksdb {
-        /// Offered loads in thousands of requests per second.
-        loads_krps: Vec<f64>,
-        /// Preemption mechanisms compared.
-        mechanisms: Vec<PreemptMechanism>,
-        /// GET p99.9 service-level objective in microseconds.
-        slo_us: f64,
-    },
+    Fig7Rocksdb(Fig7Rocksdb),
     /// Figure 8: l3fwd cycle accounting and p95 latency, polling vs xUI
     /// device interrupts. Honours [`Scenario::faults`].
-    Fig8L3fwd {
-        /// Offered load fractions (0.0–1.0).
-        loads: Vec<f64>,
-        /// NIC counts.
-        nic_counts: Vec<usize>,
-        /// I/O modes compared.
-        modes: Vec<IoMode>,
-    },
+    Fig8L3fwd(Fig8L3fwd),
     /// Figure 9: DSA completion delivery — free cycles and notification
     /// latency vs response-time noise.
-    Fig9Dsa {
-        /// Request kinds (paper: 2 µs and 20 µs mean response).
-        kinds: Vec<RequestKind>,
-        /// Noise levels as a percentage of the mean response time.
-        noise_levels_pct: Vec<u64>,
-        /// Completion-delivery modes compared.
-        modes: Vec<DsaMode>,
-    },
+    Fig9Dsa(Fig9Dsa),
     /// Table 2: per-instruction UIPI costs measured on the cycle-level
     /// simulator (SENDUIPI, CLUI, STUI, receiver cost, end-to-end).
-    Table2UipiMetrics {
-        /// Iterations of the SENDUIPI cost loop.
-        send_iters: u64,
-        /// Iterations of the CLUI/STUI cost loops.
-        uif_iters: u64,
-    },
+    Table2UipiMetrics(Table2UipiMetrics),
     /// §6.1 worst case: maximum tracked-interrupt latency under an
     /// SP-dependent load chain.
-    X1WorstCase {
-        /// Chain lengths swept.
-        chain_lens: Vec<usize>,
-        /// Pointer-ring size in cache lines.
-        nodes: usize,
-        /// Loop iterations per run.
-        iters: u64,
-        /// Forwarded-device interrupt period in cycles.
-        device_period: u64,
-        /// The typical benchmark for the anomaly check.
-        typical: WorkloadSpec,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    X1WorstCase(X1WorstCase),
     /// §3.5 forensics: flush-strategy detection via latency flatness and
     /// linear squash growth.
-    X2FlushForensics {
-        /// Pointer-chase working sets for the latency part.
-        chase_nodes: Vec<usize>,
-        /// Chase iterations for the latency part.
-        chase_iters: u64,
-        /// SW-timer period for the latency part, in cycles.
-        timer_period: u64,
-        /// Workload for the squash-scaling part.
-        squash_workload: WorkloadSpec,
-        /// SW-timer periods for the squash-scaling part.
-        squash_periods: Vec<u64>,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    X2FlushForensics(X2FlushForensics),
     /// §2/§4.1 costs: per-signal overhead and the clui/stui
     /// critical-section tax.
-    X3SignalCosts {
-        /// Signals delivered through the kernel model.
-        signals: u64,
-        /// Cycles between signal deliveries.
-        signal_spacing: u64,
-        /// Critical-section loop iterations.
-        cs_iters: u64,
-        /// Dependent instructions per critical section.
-        cs_body_len: usize,
-    },
+    X3SignalCosts(X3SignalCosts),
     /// §2 polling tax: standing cost of preemption checks with zero
     /// preemptions, plus the tight-loop worst case.
-    X4PollingTax {
-        /// The benchmark suite (instrumented vs plain).
-        benchmarks: Vec<WorkloadSpec>,
-        /// Iterations of the width-saturating tight loop.
-        tight_iters: u64,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    X4PollingTax(X4PollingTax),
     /// Multi-tenant capacity: N tenant runtimes multiplexed onto shared
     /// cores via the per-core KB_Timer (§4.3), each driven by the
     /// batch-drawn open-loop stream of a modeled client population.
-    MultiTenant {
-        /// Tenant counts swept (tenants are round-robined over cores).
-        tenant_counts: Vec<usize>,
-        /// Shared application cores.
-        cores: usize,
-        /// Modeled clients per tenant.
-        clients_per_tenant: u64,
-        /// Per-client request rate in requests/second.
-        rps_per_client: f64,
-        /// Preemption mechanisms compared.
-        mechanisms: Vec<PreemptMechanism>,
-        /// Preemption quantum in cycles.
-        quantum: u64,
-        /// Simulated duration in cycles.
-        duration: u64,
-        /// Arrivals pre-drawn per batch event.
-        arrival_batch: usize,
-    },
+    MultiTenant(MultiTenant),
     /// Ablation: Aspen-like runtime scaling across workers with work
     /// stealing.
-    AblationMultiworker {
-        /// Offered load per worker, krps.
-        per_worker_krps: f64,
-        /// Worker counts swept.
-        worker_counts: Vec<usize>,
-        /// Simulated duration in cycles.
-        duration: u64,
-    },
+    AblationMultiworker(AblationMultiworker),
     /// Ablation: shared-memory polling vs tracked interrupts, per event.
-    AblationPolling {
-        /// Benchmarks measured.
-        benchmarks: Vec<WorkloadSpec>,
-        /// Notification periods in cycles.
-        periods: Vec<u64>,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    AblationPolling(AblationPolling),
     /// Ablation: flush vs drain vs tracking head to head.
-    AblationStrategies {
-        /// Benchmarks measured, with table labels.
-        benchmarks: Vec<NamedWorkload>,
-        /// Delivery strategies compared.
-        strategies: Vec<DeliveryStrategy>,
-        /// SW-timer period in cycles.
-        period: u64,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    AblationStrategies(AblationStrategies),
     /// Ablation: per-event interrupt cost vs speculation-window size.
-    AblationWindow {
-        /// The interrupted workload.
-        workload: WorkloadSpec,
-        /// Window scale factors applied to the baseline core config.
-        scales: Vec<f64>,
-        /// SW-timer period in cycles.
-        period: u64,
-        /// Simulation cycle budget per run.
-        max_cycles: u64,
-    },
+    AblationWindow(AblationWindow),
     /// Worst-case-latency scenario band: mixed-criticality senders
     /// sharing a receiver with bulk interferer tenants on the DES
     /// model, calibrated against the cycle simulator's interference
     /// knobs and verdicted by the invariant checker's bounded-latency
     /// obligation. Honours [`Scenario::faults`] (interference bursts,
     /// drops, delays, duplicates).
-    WorstCase {
-        /// Interference kinds swept.
-        kinds: Vec<InterferenceKind>,
-        /// Interfering-tenant counts swept.
-        interferer_counts: Vec<u32>,
-        /// Criticality mixes swept.
-        mixes: Vec<CriticalityMix>,
-        /// Isolation arms swept (`false` = shared core, `true` =
-        /// delivery pinned to a dedicated core).
-        isolation: Vec<bool>,
-        /// DES horizon in virtual ticks.
-        duration: u64,
-        /// High-vector deadline once deliverable, in virtual ticks.
-        deadline: u64,
-        /// Cycle budget of each calibration probe on the cycle sim.
-        probe_max_cycles: u64,
-    },
+    WorstCase(WorstCase),
     /// Deterministic fault-injection + conformance scenario suite.
-    FaultsSuite {
-        /// Scenario names, run in order (see `experiments::faults`).
-        scenarios: Vec<String>,
-    },
+    FaultsSuite(FaultsSuite),
     /// Differential schedule fuzzing against the reference oracle.
     /// The base seed comes from [`Scenario::base_seed`].
-    OracleFuzz {
-        /// Full-alphabet schedule count.
-        full: u64,
-        /// Sim-class (sends-only, also replayed through the cycle-level
-        /// simulator) schedule count.
-        sim: u64,
-    },
+    OracleFuzz(OracleFuzz),
+}
+
+/// Parameters of [`Experiment::Fig2Timeline`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig2Timeline {
+    /// Sender spin iterations before the `SENDUIPI`.
+    pub sender_countdown: u64,
+    /// Receiver spin iterations (must outlast the sender).
+    pub receiver_countdown: u64,
+    /// Simulation cycle budget.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::Fig4ReceiverOverhead`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig4ReceiverOverhead {
+    /// Benchmarks interrupted (paper: fib, linpack, memops).
+    pub benchmarks: Vec<WorkloadSpec>,
+    /// Interrupt period in cycles (paper: 5 µs = 10,000).
+    pub period: u64,
+    /// SW-timer send latency in cycles.
+    pub send_latency: u64,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::Fig5Safepoints`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig5Safepoints {
+    /// Benchmarks (paper: matmul, base64, with handler work modelling
+    /// the user-level context switch).
+    pub benchmarks: Vec<WorkloadSpec>,
+    /// Preemption quanta in microseconds.
+    pub quanta_us: Vec<f64>,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::Fig6TimerCore`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig6TimerCore {
+    /// Timer intervals in microseconds.
+    pub intervals_us: Vec<f64>,
+    /// Receiver counts fanned out to per tick.
+    pub receiver_counts: Vec<usize>,
+    /// Timer ticks simulated per point.
+    pub ticks: u64,
+}
+
+/// Parameters of [`Experiment::Fig7Rocksdb`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig7Rocksdb {
+    /// Offered loads in thousands of requests per second.
+    pub loads_krps: Vec<f64>,
+    /// Preemption mechanisms compared.
+    pub mechanisms: Vec<PreemptMechanism>,
+    /// GET p99.9 service-level objective in microseconds.
+    pub slo_us: f64,
+}
+
+/// Parameters of [`Experiment::Fig8L3fwd`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig8L3fwd {
+    /// Offered load fractions (0.0–1.0).
+    pub loads: Vec<f64>,
+    /// NIC counts.
+    pub nic_counts: Vec<usize>,
+    /// I/O modes compared.
+    pub modes: Vec<IoMode>,
+}
+
+/// Parameters of [`Experiment::Fig9Dsa`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fig9Dsa {
+    /// Request kinds (paper: 2 µs and 20 µs mean response).
+    pub kinds: Vec<RequestKind>,
+    /// Noise levels as a percentage of the mean response time.
+    pub noise_levels_pct: Vec<u64>,
+    /// Completion-delivery modes compared.
+    pub modes: Vec<DsaMode>,
+}
+
+/// Parameters of [`Experiment::Table2UipiMetrics`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Table2UipiMetrics {
+    /// Iterations of the SENDUIPI cost loop.
+    pub send_iters: u64,
+    /// Iterations of the CLUI/STUI cost loops.
+    pub uif_iters: u64,
+}
+
+/// Parameters of [`Experiment::X1WorstCase`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct X1WorstCase {
+    /// Chain lengths swept.
+    pub chain_lens: Vec<usize>,
+    /// Pointer-ring size in cache lines.
+    pub nodes: usize,
+    /// Loop iterations per run.
+    pub iters: u64,
+    /// Forwarded-device interrupt period in cycles.
+    pub device_period: u64,
+    /// The typical benchmark for the anomaly check.
+    pub typical: WorkloadSpec,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::X2FlushForensics`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct X2FlushForensics {
+    /// Pointer-chase working sets for the latency part.
+    pub chase_nodes: Vec<usize>,
+    /// Chase iterations for the latency part.
+    pub chase_iters: u64,
+    /// SW-timer period for the latency part, in cycles.
+    pub timer_period: u64,
+    /// Workload for the squash-scaling part.
+    pub squash_workload: WorkloadSpec,
+    /// SW-timer periods for the squash-scaling part.
+    pub squash_periods: Vec<u64>,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::X3SignalCosts`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct X3SignalCosts {
+    /// Signals delivered through the kernel model.
+    pub signals: u64,
+    /// Cycles between signal deliveries.
+    pub signal_spacing: u64,
+    /// Critical-section loop iterations.
+    pub cs_iters: u64,
+    /// Dependent instructions per critical section.
+    pub cs_body_len: usize,
+}
+
+/// Parameters of [`Experiment::X4PollingTax`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct X4PollingTax {
+    /// The benchmark suite (instrumented vs plain).
+    pub benchmarks: Vec<WorkloadSpec>,
+    /// Iterations of the width-saturating tight loop.
+    pub tight_iters: u64,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::MultiTenant`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MultiTenant {
+    /// Tenant counts swept (tenants are round-robined over cores).
+    pub tenant_counts: Vec<usize>,
+    /// Shared application cores.
+    pub cores: usize,
+    /// Modeled clients per tenant.
+    pub clients_per_tenant: u64,
+    /// Per-client request rate in requests/second.
+    pub rps_per_client: f64,
+    /// Preemption mechanisms compared.
+    pub mechanisms: Vec<PreemptMechanism>,
+    /// Preemption quantum in cycles.
+    pub quantum: u64,
+    /// Simulated duration in cycles.
+    pub duration: u64,
+    /// Arrivals pre-drawn per batch event.
+    pub arrival_batch: usize,
+}
+
+/// Parameters of [`Experiment::AblationMultiworker`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationMultiworker {
+    /// Offered load per worker, krps.
+    pub per_worker_krps: f64,
+    /// Worker counts swept.
+    pub worker_counts: Vec<usize>,
+    /// Simulated duration in cycles.
+    pub duration: u64,
+}
+
+/// Parameters of [`Experiment::AblationPolling`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationPolling {
+    /// Benchmarks measured.
+    pub benchmarks: Vec<WorkloadSpec>,
+    /// Notification periods in cycles.
+    pub periods: Vec<u64>,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::AblationStrategies`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationStrategies {
+    /// Benchmarks measured, with table labels.
+    pub benchmarks: Vec<NamedWorkload>,
+    /// Delivery strategies compared.
+    pub strategies: Vec<DeliveryStrategy>,
+    /// SW-timer period in cycles.
+    pub period: u64,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::AblationWindow`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationWindow {
+    /// The interrupted workload.
+    pub workload: WorkloadSpec,
+    /// Window scale factors applied to the baseline core config.
+    pub scales: Vec<f64>,
+    /// SW-timer period in cycles.
+    pub period: u64,
+    /// Simulation cycle budget per run.
+    pub max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::WorstCase`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WorstCase {
+    /// Interference kinds swept.
+    pub kinds: Vec<InterferenceKind>,
+    /// Interfering-tenant counts swept.
+    pub interferer_counts: Vec<u32>,
+    /// Criticality mixes swept.
+    pub mixes: Vec<CriticalityMix>,
+    /// Isolation arms swept (`false` = shared core, `true` = delivery
+    /// pinned to a dedicated core).
+    pub isolation: Vec<bool>,
+    /// DES horizon in virtual ticks.
+    pub duration: u64,
+    /// High-vector deadline once deliverable, in virtual ticks.
+    pub deadline: u64,
+    /// Cycle budget of each calibration probe on the cycle sim.
+    pub probe_max_cycles: u64,
+}
+
+/// Parameters of [`Experiment::FaultsSuite`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultsSuite {
+    /// Scenario names, run in order (see `experiments::faults`).
+    pub scenarios: Vec<String>,
+}
+
+/// Parameters of [`Experiment::OracleFuzz`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OracleFuzz {
+    /// Full-alphabet schedule count.
+    pub full: u64,
+    /// Sim-class (sends-only, also replayed through the cycle-level
+    /// simulator) schedule count.
+    pub sim: u64,
 }
 
 impl Experiment {
@@ -391,36 +423,127 @@ impl Experiment {
     #[must_use]
     pub fn backend(&self) -> Backend {
         match self {
-            Self::Fig2Timeline { .. }
-            | Self::Fig4ReceiverOverhead { .. }
-            | Self::Fig5Safepoints { .. }
-            | Self::Table2UipiMetrics { .. }
-            | Self::X1WorstCase { .. }
-            | Self::X2FlushForensics { .. }
-            | Self::X3SignalCosts { .. }
-            | Self::X4PollingTax { .. }
-            | Self::AblationPolling { .. }
-            | Self::AblationStrategies { .. }
-            | Self::AblationWindow { .. } => Backend::CycleSim,
-            Self::Fig6TimerCore { .. }
-            | Self::Fig7Rocksdb { .. }
-            | Self::Fig8L3fwd { .. }
-            | Self::Fig9Dsa { .. }
-            | Self::MultiTenant { .. }
-            | Self::AblationMultiworker { .. }
-            | Self::WorstCase { .. }
-            | Self::FaultsSuite { .. } => Backend::Des,
-            Self::OracleFuzz { .. } => Backend::Oracle,
+            Self::Fig2Timeline(_)
+            | Self::Fig4ReceiverOverhead(_)
+            | Self::Fig5Safepoints(_)
+            | Self::Table2UipiMetrics(_)
+            | Self::X1WorstCase(_)
+            | Self::X2FlushForensics(_)
+            | Self::X3SignalCosts(_)
+            | Self::X4PollingTax(_)
+            | Self::AblationPolling(_)
+            | Self::AblationStrategies(_)
+            | Self::AblationWindow(_) => Backend::CycleSim,
+            Self::Fig6TimerCore(_)
+            | Self::Fig7Rocksdb(_)
+            | Self::Fig8L3fwd(_)
+            | Self::Fig9Dsa(_)
+            | Self::MultiTenant(_)
+            | Self::AblationMultiworker(_)
+            | Self::WorstCase(_)
+            | Self::FaultsSuite(_) => Backend::Des,
+            Self::OracleFuzz(_) => Backend::Oracle,
         }
     }
 
     /// Whether [`Scenario::faults`] applies to this experiment.
     #[must_use]
     pub fn supports_faults(&self) -> bool {
-        matches!(
-            self,
-            Self::Fig7Rocksdb { .. } | Self::Fig8L3fwd { .. } | Self::WorstCase { .. }
-        )
+        matches!(self, Self::Fig7Rocksdb(_) | Self::Fig8L3fwd(_) | Self::WorstCase(_))
+    }
+
+    /// Whether the experiment exports a Chrome trace for `--trace PATH`.
+    #[must_use]
+    pub fn supports_trace(&self) -> bool {
+        matches!(self, Self::Fig2Timeline(_) | Self::Fig6TimerCore(_))
+    }
+
+    /// Whether the experiment saves a metrics snapshot for `--metrics`.
+    #[must_use]
+    pub fn supports_metrics(&self) -> bool {
+        matches!(self, Self::Fig2Timeline(_) | Self::MultiTenant(_))
+    }
+
+    /// Checks the payload on its own: lists that must be non-empty,
+    /// counts that must be positive, floats that must be finite.
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            Self::Fig2Timeline(p) if p.receiver_countdown <= p.sender_countdown => {
+                Err("the receiver must still be spinning when the send fires".into())
+            }
+            Self::Fig4ReceiverOverhead(Fig4ReceiverOverhead { benchmarks, .. })
+            | Self::Fig5Safepoints(Fig5Safepoints { benchmarks, .. })
+            | Self::X4PollingTax(X4PollingTax { benchmarks, .. })
+            | Self::AblationPolling(AblationPolling { benchmarks, .. })
+                if benchmarks.is_empty() =>
+            {
+                Err("the benchmark list is empty".into())
+            }
+            Self::Fig5Safepoints(p) => all_finite("quanta_us", &p.quanta_us),
+            Self::Fig6TimerCore(p) => all_finite("intervals_us", &p.intervals_us),
+            Self::Fig7Rocksdb(p) => {
+                all_finite("loads_krps", &p.loads_krps)?;
+                finite("slo_us", p.slo_us)
+            }
+            Self::Fig8L3fwd(p) => all_finite("loads", &p.loads),
+            Self::AblationStrategies(p) if p.benchmarks.is_empty() || p.strategies.is_empty() => {
+                Err("the benchmark and strategy lists must be non-empty".into())
+            }
+            Self::AblationWindow(p) => all_finite("scales", &p.scales),
+            Self::AblationMultiworker(p) => finite("per_worker_krps", p.per_worker_krps),
+            Self::MultiTenant(p) => {
+                if p.tenant_counts.is_empty() || p.mechanisms.is_empty() {
+                    return Err("the tenant-count and mechanism lists must be non-empty".into());
+                }
+                if p.cores == 0 {
+                    return Err("the experiment needs at least one core".into());
+                }
+                if p.arrival_batch == 0 {
+                    return Err("the arrival batch must hold at least one arrival".into());
+                }
+                finite("rps_per_client", p.rps_per_client)
+            }
+            Self::WorstCase(p) => {
+                if p.kinds.is_empty()
+                    || p.interferer_counts.is_empty()
+                    || p.mixes.is_empty()
+                    || p.isolation.is_empty()
+                {
+                    return Err("every worst-case sweep axis must be non-empty".into());
+                }
+                if p.duration == 0 || p.deadline == 0 || p.probe_max_cycles == 0 {
+                    return Err("duration, deadline and probe budget must be positive".into());
+                }
+                Ok(())
+            }
+            Self::FaultsSuite(p) => match p
+                .scenarios
+                .iter()
+                .find(|s| !crate::experiments::faults::is_known(s))
+            {
+                Some(s) => Err(format!("unknown fault scenario `{s}`")),
+                None => Ok(()),
+            },
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Rejects NaN and ±inf in the float field `field`. A key missing from a
+/// scenario file reads as NaN, so this is also what names it.
+fn finite(field: &str, v: f64) -> Result<(), String> {
+    if v.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("`{field}` must be a finite number, got {v}"))
+    }
+}
+
+/// [`finite`] for every element of a float list, naming the index.
+fn all_finite(field: &str, vs: &[f64]) -> Result<(), String> {
+    match vs.iter().position(|v| !v.is_finite()) {
+        Some(i) => finite(&format!("{field}[{i}]"), vs[i]),
+        None => Ok(()),
     }
 }
 
@@ -435,17 +558,11 @@ pub struct Scenario {
     pub title: String,
     /// Paper reference printed under the banner.
     pub paper_ref: String,
-    /// Declared backend family (checked against the experiment).
-    pub backend: Backend,
-    /// Declared hardware shape (checked against the experiment).
-    pub topology: Topology,
     /// Base seed for seeded experiments (oracle fuzzing); `None` means
     /// the experiment's frozen default.
     pub base_seed: Option<u64>,
-    /// Telemetry sinks this experiment can feed.
-    pub telemetry: TelemetryCaps,
     /// Optional fault plan, injected into experiments that support it
-    /// (Figure 7 and Figure 8).
+    /// (Figure 7, Figure 8 and the worst-case band).
     pub faults: Option<FaultPlan>,
     /// The experiment itself.
     pub experiment: Experiment,
@@ -463,143 +580,19 @@ impl Scenario {
         serde_json::to_string_pretty(self).unwrap_or_default()
     }
 
-    /// Checks internal consistency: the declared backend matches the
-    /// experiment family, the topology covers the experiment's sweep
-    /// maxima, and optional features (faults, seeds) are only declared
-    /// where the experiment honours them.
+    /// Checks internal consistency: optional features (faults, seeds)
+    /// are only declared where the experiment honours them, and the
+    /// experiment's payload is well formed.
     pub fn validate(&self) -> Result<(), String> {
-        let err = |msg: String| Err(format!("scenario `{}`: {msg}", self.name));
-        if self.backend != self.experiment.backend() {
-            return err(format!(
-                "declared backend {:?} but the experiment runs on {:?}",
-                self.backend,
-                self.experiment.backend()
-            ));
-        }
-        if self.faults.is_some() && !self.experiment.supports_faults() {
-            return err("a fault plan is declared but this experiment ignores faults".into());
-        }
-        if self.base_seed.is_some() && !matches!(self.experiment, Experiment::OracleFuzz { .. }) {
-            return err("a base seed is declared but this experiment is not seeded".into());
-        }
-        let t = self.topology;
-        if t.app_cores == 0 {
-            return err("topology needs at least one application core".into());
-        }
-        match &self.experiment {
-            Experiment::Fig2Timeline { sender_countdown, receiver_countdown, .. } => {
-                if t.app_cores < 2 {
-                    return err("fig2 needs a sender core and a receiver core".into());
-                }
-                if receiver_countdown <= sender_countdown {
-                    return err("the receiver must still be spinning when the send fires".into());
-                }
-            }
-            Experiment::Table2UipiMetrics { .. } if t.app_cores < 2 => {
-                return err("table2 needs a sender core and a receiver core".into());
-            }
-            Experiment::Fig4ReceiverOverhead { benchmarks, .. }
-            | Experiment::Fig5Safepoints { benchmarks, .. }
-            | Experiment::X4PollingTax { benchmarks, .. }
-            | Experiment::AblationPolling { benchmarks, .. }
-                if benchmarks.is_empty() =>
-            {
-                return err("the benchmark list is empty".into());
-            }
-            Experiment::AblationStrategies { benchmarks, strategies, .. }
-                if benchmarks.is_empty() || strategies.is_empty() =>
-            {
-                return err("the benchmark and strategy lists must be non-empty".into());
-            }
-            Experiment::Fig6TimerCore { receiver_counts, .. } => {
-                let max = receiver_counts.iter().copied().max().unwrap_or(0);
-                if t.app_cores < max {
-                    return err(format!(
-                        "fig6 fans out to up to {max} receivers but the topology has \
-                         {} application cores",
-                        t.app_cores
-                    ));
-                }
-            }
-            Experiment::Fig7Rocksdb { mechanisms, .. } => {
-                let needs_timer = mechanisms.contains(&PreemptMechanism::UipiSwTimer);
-                if needs_timer && t.timer_cores == 0 {
-                    return err("the UIPI SW-timer mechanism needs a dedicated timer core".into());
-                }
-            }
-            Experiment::MultiTenant { tenant_counts, cores, mechanisms, arrival_batch, .. } => {
-                if tenant_counts.is_empty() || mechanisms.is_empty() {
-                    return err("the tenant-count and mechanism lists must be non-empty".into());
-                }
-                if *cores == 0 || t.app_cores < *cores {
-                    return err(format!(
-                        "the experiment schedules {cores} cores but the topology has \
-                         {} application cores",
-                        t.app_cores
-                    ));
-                }
-                if *arrival_batch == 0 {
-                    return err("the arrival batch must hold at least one arrival".into());
-                }
-                if mechanisms.contains(&PreemptMechanism::UipiSwTimer) && t.timer_cores == 0 {
-                    return err("the UIPI SW-timer mechanism needs a dedicated timer core".into());
-                }
-            }
-            Experiment::Fig8L3fwd { nic_counts, .. } => {
-                let max = nic_counts.iter().copied().max().unwrap_or(0);
-                if t.nic_rings < max {
-                    return err(format!(
-                        "fig8 drains up to {max} NICs but the topology has {} rings",
-                        t.nic_rings
-                    ));
-                }
-            }
-            Experiment::AblationMultiworker { worker_counts, .. } => {
-                let max = worker_counts.iter().copied().max().unwrap_or(0);
-                if t.app_cores < max {
-                    return err(format!(
-                        "the sweep reaches {max} workers but the topology has {} cores",
-                        t.app_cores
-                    ));
-                }
-            }
-            Experiment::WorstCase {
-                kinds,
-                interferer_counts,
-                mixes,
-                isolation,
-                duration,
-                deadline,
-                probe_max_cycles,
-            } => {
-                if kinds.is_empty()
-                    || interferer_counts.is_empty()
-                    || mixes.is_empty()
-                    || isolation.is_empty()
-                {
-                    return err("every worst-case sweep axis must be non-empty".into());
-                }
-                if *duration == 0 || *deadline == 0 || *probe_max_cycles == 0 {
-                    return err("duration, deadline and probe budget must be positive".into());
-                }
-                if isolation.contains(&true) && t.app_cores < 2 {
-                    return err(
-                        "the isolation arm pins delivery to a dedicated core, so the \
-                         topology needs at least two application cores"
-                            .into(),
-                    );
-                }
-            }
-            Experiment::FaultsSuite { scenarios } => {
-                for s in scenarios {
-                    if !crate::experiments::faults::is_known(s) {
-                        return err(format!("unknown fault scenario `{s}`"));
-                    }
-                }
-            }
-            _ => {}
-        }
-        Ok(())
+        let checked = if self.faults.is_some() && !self.experiment.supports_faults() {
+            Err("a fault plan is declared but this experiment ignores faults".into())
+        } else if self.base_seed.is_some() && !matches!(self.experiment, Experiment::OracleFuzz(_))
+        {
+            Err("a base seed is declared but this experiment is not seeded".into())
+        } else {
+            self.experiment.validate()
+        };
+        checked.map_err(|msg| format!("scenario `{}`: {msg}", self.name))
     }
 }
 
@@ -609,14 +602,6 @@ mod tests {
 
     fn fig2() -> Scenario {
         crate::registry::find("fig2_timeline").expect("preset exists")
-    }
-
-    #[test]
-    fn backend_must_match_experiment() {
-        let mut sc = fig2();
-        sc.backend = Backend::Des;
-        let err = sc.validate().unwrap_err();
-        assert!(err.contains("backend"), "{err}");
     }
 
     #[test]
@@ -642,40 +627,69 @@ mod tests {
     }
 
     #[test]
-    fn topology_bounds_are_checked() {
-        let mut sc = fig2();
-        sc.topology = Topology::cores(1);
-        assert!(sc.validate().unwrap_err().contains("receiver core"));
-
-        let mut fig6 = crate::registry::find("fig6_timer_core").expect("preset exists");
-        fig6.topology = Topology::cores(4).timers(1);
-        assert!(fig6.validate().unwrap_err().contains("receivers"));
-
-        let mut fig8 = crate::registry::find("fig8_l3fwd").expect("preset exists");
-        fig8.topology = Topology::cores(1).nics(2);
-        assert!(fig8.validate().unwrap_err().contains("NICs"));
-    }
-
-    #[test]
     fn fig2_receiver_must_outlast_sender() {
         let mut sc = fig2();
-        let Experiment::Fig2Timeline { sender_countdown, receiver_countdown, .. } =
-            &mut sc.experiment
-        else {
-            panic!("wrong experiment")
-        };
-        (*sender_countdown, *receiver_countdown) = (1_000, 500);
+        let Experiment::Fig2Timeline(p) = &mut sc.experiment else { panic!("wrong experiment") };
+        (p.sender_countdown, p.receiver_countdown) = (1_000, 500);
         assert!(sc.validate().unwrap_err().contains("spinning"));
     }
 
     #[test]
     fn unknown_fault_scenario_names_are_rejected() {
         let mut sc = crate::registry::find("faults_scenarios").expect("preset exists");
-        let Experiment::FaultsSuite { scenarios } = &mut sc.experiment else {
-            panic!("wrong experiment")
-        };
-        scenarios.push("not_a_scenario".to_string());
+        let Experiment::FaultsSuite(p) = &mut sc.experiment else { panic!("wrong experiment") };
+        p.scenarios.push("not_a_scenario".to_string());
         assert!(sc.validate().unwrap_err().contains("not_a_scenario"));
+    }
+
+    /// Every `f64` field and float-list element rejects NaN and ±inf by
+    /// name; a missing float key deserializes to NaN, so this is what
+    /// turns a dropped `slo_us` into an error instead of a NaN run.
+    #[test]
+    fn non_finite_floats_are_rejected_by_name() {
+        type Poke = fn(&mut Experiment, f64);
+        let cases: [(&str, &str, Poke); 8] = [
+            ("fig7_rocksdb", "`slo_us`", |e, v| {
+                let Experiment::Fig7Rocksdb(p) = e else { unreachable!() };
+                p.slo_us = v;
+            }),
+            ("fig7_rocksdb", "`loads_krps[2]`", |e, v| {
+                let Experiment::Fig7Rocksdb(p) = e else { unreachable!() };
+                p.loads_krps[2] = v;
+            }),
+            ("mt_tenants", "`rps_per_client`", |e, v| {
+                let Experiment::MultiTenant(p) = e else { unreachable!() };
+                p.rps_per_client = v;
+            }),
+            ("ablation_multiworker", "`per_worker_krps`", |e, v| {
+                let Experiment::AblationMultiworker(p) = e else { unreachable!() };
+                p.per_worker_krps = v;
+            }),
+            ("fig5_safepoints", "`quanta_us[0]`", |e, v| {
+                let Experiment::Fig5Safepoints(p) = e else { unreachable!() };
+                p.quanta_us[0] = v;
+            }),
+            ("fig6_timer_core", "`intervals_us[1]`", |e, v| {
+                let Experiment::Fig6TimerCore(p) = e else { unreachable!() };
+                p.intervals_us[1] = v;
+            }),
+            ("fig8_l3fwd", "`loads[3]`", |e, v| {
+                let Experiment::Fig8L3fwd(p) = e else { unreachable!() };
+                p.loads[3] = v;
+            }),
+            ("ablation_window", "`scales[0]`", |e, v| {
+                let Experiment::AblationWindow(p) = e else { unreachable!() };
+                p.scales[0] = v;
+            }),
+        ];
+        for (preset, field, poke) in cases {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut sc = crate::registry::find(preset).expect("preset exists");
+                poke(&mut sc.experiment, bad);
+                let err = sc.validate().expect_err("non-finite float accepted");
+                assert!(err.contains(field), "{preset} {bad}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`SweepSpec`] wraps a scenario template (a registry preset name or
 //! an inline [`Scenario`]) plus a parameter grid. Each grid axis is a
 //! JSON-pointer-like path into the scenario — `"ticks"` resolves inside
-//! the experiment variant's body, `"/topology/app_cores"` from the
-//! scenario root — and takes either an inclusive numeric range
+//! the experiment variant's body, `"/base_seed"` from the scenario
+//! root — and takes either an inclusive numeric range
 //! (`{"from":100,"to":900,"step":100}`) or an explicit value list
 //! (`["UipiSwTimer","XuiKbTimer"]`). [`SweepSpec::expand`] takes the
 //! cartesian product in spec order (first axis slowest) and yields one
@@ -236,7 +236,7 @@ impl Deserialize for AxisValues {
 pub struct Axis {
     /// JSON-pointer-like path. Without a leading `/` it resolves inside
     /// the experiment variant's body (`"ticks"`, `"loads_krps"`);
-    /// with one, from the scenario root (`"/topology/app_cores"`).
+    /// with one, from the scenario root (`"/base_seed"`).
     pub path: String,
     /// The values swept.
     pub values: AxisValues,
@@ -897,15 +897,8 @@ mod tests {
 
     fn tiny_scenario() -> Scenario {
         let mut sc = registry::find("fig2_timeline").expect("preset exists");
-        if let crate::spec::Experiment::Fig2Timeline {
-            sender_countdown,
-            receiver_countdown,
-            max_cycles,
-        } = &mut sc.experiment
-        {
-            *sender_countdown = 500;
-            *receiver_countdown = 20_000;
-            *max_cycles = 2_000_000;
+        if let crate::spec::Experiment::Fig2Timeline(p) = &mut sc.experiment {
+            (p.sender_countdown, p.receiver_countdown, p.max_cycles) = (500, 20_000, 2_000_000);
         }
         sc
     }
@@ -968,12 +961,10 @@ mod tests {
         );
         let points = spec.expand().expect("expands");
         assert_eq!(points.len(), 2);
-        let crate::spec::Experiment::Fig7Rocksdb { loads_krps, .. } =
-            &points[0].scenario.experiment
-        else {
+        let crate::spec::Experiment::Fig7Rocksdb(p) = &points[0].scenario.experiment else {
             panic!("wrong experiment")
         };
-        assert_eq!(loads_krps, &vec![100.0]);
+        assert_eq!(p.loads_krps, vec![100.0]);
     }
 
     #[test]

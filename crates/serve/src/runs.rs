@@ -287,7 +287,7 @@ impl RunManager {
     #[must_use]
     pub fn is_terminal(&self, id: RunId) -> bool {
         self.status(id)
-            .is_some_and(|s| matches!(s.state.as_str(), "done" | "failed"))
+            .is_some_and(|s| s.state.is_terminal())
     }
 
     /// The `/api/runs/<id>` JSON document: the queue status extended
@@ -348,7 +348,7 @@ impl RunManager {
 
 #[cfg(test)]
 mod tests {
-    use xui_scenario::registry;
+    use xui_scenario::{registry, RunState};
     use xui_telemetry::StreamItem;
 
     use super::*;
@@ -365,7 +365,7 @@ mod tests {
         let shared = mgr.run_shared(id).expect("tracked");
         let sub = shared.subscribe(1024);
         let status = mgr.wait_terminal(id, Duration::from_secs(120)).expect("known");
-        assert_eq!(status.state, "done");
+        assert_eq!(status.state, RunState::Done);
 
         let ring = shared.ring_events();
         assert_eq!(ring.first().map(|e| e.name), Some("run_started"));

@@ -260,7 +260,7 @@ fn list_scenarios() -> Response {
         .map(|sc| {
             Value::Object(vec![
                 ("name".to_string(), Value::Str(sc.name.clone())),
-                ("backend".to_string(), Value::Str(sc.backend.name().to_string())),
+                ("backend".to_string(), Value::Str(sc.experiment.backend().name().to_string())),
                 ("title".to_string(), Value::Str(sc.title.clone())),
             ])
         })

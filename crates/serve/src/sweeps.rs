@@ -272,9 +272,9 @@ fn drive_sweep(
                 });
                 break;
             };
-            if matches!(status.state.as_str(), "done" | "failed") {
+            if status.state.is_terminal() {
                 shared.update_point(i, |p| {
-                    p.state = status.state.clone();
+                    p.state = status.state.name().to_string();
                     p.passed = Some(status.passed.unwrap_or(false));
                 });
                 break;

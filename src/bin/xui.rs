@@ -96,7 +96,7 @@ fn config_exit(err: impl std::fmt::Display) -> ! {
 fn list() {
     let mut t = Table::new(vec!["scenario", "backend", "title"]);
     for sc in registry::all() {
-        t.row(vec![sc.name.clone(), sc.backend.name().to_string(), sc.title.clone()]);
+        t.row(vec![sc.name.clone(), sc.experiment.backend().name().to_string(), sc.title.clone()]);
     }
     t.print();
     println!();
@@ -173,12 +173,12 @@ fn cmd_run(parsed: &Parsed, spec: &CliSpec) {
         }
     }
     let overrides = (|| -> Result<(), CliError> {
-        if let Experiment::OracleFuzz { full, sim } = &mut sc.experiment {
+        if let Experiment::OracleFuzz(p) = &mut sc.experiment {
             if let Some(n) = parsed.opt_u64("--full")? {
-                *full = n;
+                p.full = n;
             }
             if let Some(n) = parsed.opt_u64("--sim")? {
-                *sim = n;
+                p.sim = n;
             }
         }
         if let Some(s) = parsed.opt_u64("--seed")? {

@@ -226,3 +226,69 @@ fn run_fails_loudly_when_the_trace_cannot_be_written() {
     assert!(!stdout.contains("[trace"), "claimed a trace that failed: {stdout}");
     assert!(artifact, "the fig2_timeline artifact is still written");
 }
+
+/// `xui run FILE FLAGS` from inside `dir`.
+fn run_file_in(dir: &std::path::Path, file: &str, flags: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xui"))
+        .args(["run", file])
+        .args(flags)
+        .current_dir(dir)
+        .output()
+        .expect("xui binary runs")
+}
+
+#[test]
+fn scenario_file_cannot_grant_telemetry_its_experiment_does_not_feed() {
+    // Regression: a scenario used to carry its own telemetry capability
+    // flags, so an x3 file declaring both ran with `--trace`/`--metrics`,
+    // exited 0 and wrote neither file. What an experiment can feed now
+    // follows from its variant, and the stale key is ignored.
+    let dir = tmp_path("x3-telemetry");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let show = xui(&["show", "x3_signal_costs"]);
+    assert_eq!(show.status.code(), Some(0), "stderr: {}", stderr(&show));
+    let text = String::from_utf8(show.stdout).expect("utf-8 scenario").replacen(
+        "\n  \"faults\":",
+        "\n  \"telemetry\": {\"trace\": true, \"metrics\": true},\n  \"faults\":",
+        1,
+    );
+    assert!(text.contains("\"telemetry\""), "{text}");
+    std::fs::write(dir.join("x3.json"), &text).expect("write temp scenario");
+    for (flags, named) in [(&["--trace", "t.json"][..], "--trace"), (&["--metrics"], "--metrics")] {
+        let out = run_file_in(&dir, "x3.json", flags);
+        assert_eq!(out.status.code(), Some(2), "{flags:?} stderr: {}", stderr(&out));
+        assert!(stderr(&out).contains(named), "{flags:?}: {}", stderr(&out));
+        assert!(!dir.join("t.json").exists(), "{flags:?} wrote a trace");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn scenario_file_missing_a_float_field_exits_2_naming_it() {
+    // Regression: a missing float key reads as NaN, and this file used
+    // to run to exit 0 printing `0 krps` and `NaN% vs UIPI`.
+    let show = xui(&["show", "fig7_rocksdb"]);
+    assert_eq!(show.status.code(), Some(0), "stderr: {}", stderr(&show));
+    let mut sc = serde_json::value_from_str(&String::from_utf8_lossy(&show.stdout)).expect("json");
+    let serde::Value::Object(top) = &mut sc else { panic!("scenario is an object") };
+    let Some((_, serde::Value::Object(experiment))) = top.last_mut() else {
+        panic!("experiment is the last field and an object")
+    };
+    let Some((_, serde::Value::Object(payload))) = experiment.first_mut() else {
+        panic!("the variant carries an object")
+    };
+    let before = payload.len();
+    payload.retain(|(k, _)| k != "slo_us");
+    assert_eq!(payload.len(), before - 1, "slo_us was present");
+
+    let dir = tmp_path("fig7-no-slo");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let text = serde_json::to_string_pretty(&sc).expect("renders");
+    std::fs::write(dir.join("fig7.json"), text).expect("write temp scenario");
+    let out = run_file_in(&dir, "fig7.json", &[]);
+    let ran = dir.join("results").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("slo_us"), "{}", stderr(&out));
+    assert!(!ran, "the experiment ran on a NaN SLO");
+}

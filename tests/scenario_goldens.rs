@@ -205,7 +205,7 @@ fn scenario_file_round_trip_matches_golden() {
 
 #[test]
 fn runner_rejects_unsupported_telemetry_and_misplaced_faults() {
-    // fig9 declares no trace/metrics capability.
+    // fig9 feeds neither a trace nor a metrics snapshot.
     let sc = registry::find("fig9_dsa").expect("preset exists");
     let opts = RunOptions {
         bench: BenchOpts { trace: Some("t.json".into()), ..BenchOpts::default() },
