@@ -16,7 +16,7 @@ use xui_des::stats::Histogram;
 use xui_kernel::{PreemptMechanism, TimeSource, TimerCoreSim};
 use xui_net::lpm::Lpm;
 use xui_net::traffic::paper_route_table;
-use xui_oracle::{check, Event, ForwardLine, Schedule};
+use xui_oracle::{check, check_timed_sends, Event, ForwardLine, Schedule};
 use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
@@ -167,49 +167,13 @@ fn bench_pipeline_pointer_chase(c: &mut Criterion) {
 }
 
 fn bench_pipeline_spin_replay(c: &mut Criterion) {
-    // The oracle differ's sim-replay receiver (`xui_oracle::check` on a
-    // sim-compatible schedule): a dependent `sub`/`bnez` spin that keeps
-    // the ROB full, one one-shot `UipiTimer` device posting into its
-    // UPID mid-spin, tracing on. Each call builds a fresh `System`, as
-    // every replay does.
-    let spin = 65_000;
-    let receiver = Program::new(
-        "oracle-spin",
-        vec![
-            Inst::new(Op::Li { dst: Reg(1), imm: spin }),
-            Inst::new(Op::Alu {
-                kind: AluKind::Sub,
-                dst: Reg(1),
-                src: Reg(1),
-                op2: Operand::Imm(1),
-            }),
-            Inst::new(Op::Bnez { src: Reg(1), target: 1 }),
-            Inst::new(Op::Halt),
-            Inst::new(Op::Alu {
-                kind: AluKind::Add,
-                dst: Reg(20),
-                src: Reg(20),
-                op2: Operand::Imm(1),
-            }),
-            Inst::new(Op::Uiret),
-        ],
-    );
+    // The oracle differ's sim replay on one timed send: a fresh `System`
+    // whose receiver spins a dependent `sub`/`bnez` loop that keeps the
+    // ROB full, one one-shot `UipiTimer` device posting into its UPID
+    // mid-spin, tracing on. The untimed replay it also runs is a few
+    // dozen steps, noise next to the ~65k simulated cycles.
     c.bench_function("cycle_sim_spin_replay", |b| {
-        b.iter(|| {
-            let mut sys = System::new(SystemConfig::uipi(), vec![receiver.clone()]);
-            sys.register_receiver(0, 4);
-            sys.cores[0].trace_enabled = true;
-            let upid_addr = sys.cores[0].upid_addr;
-            sys.add_device(Device::UipiTimer {
-                period: 1 << 40,
-                next_fire: 15_000,
-                upid_addr,
-                user_vector: 3,
-                send_latency: 140,
-            });
-            sys.run_until_halted(spin * 8);
-            black_box(sys.cores[0].reg(Reg(20)))
-        })
+        b.iter(|| black_box(check_timed_sends(black_box(&[(15_000, 3)]))).is_ok())
     });
 }
 

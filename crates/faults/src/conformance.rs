@@ -1,29 +1,22 @@
-//! Cross-model conformance: run one send schedule through the untimed
-//! DES behavioural model (`xui_core::model::ProtocolModel`) and the
-//! cycle-level pipeline simulator (`xui_sim::System`), then diff the
-//! delivery traces.
+//! Fault application to a send schedule, and the delivery obligations
+//! the faulted schedule implies.
 //!
-//! The two models implement the same UPID/UIRR protocol at very
-//! different levels of abstraction; agreement on *what gets delivered*
-//! (counts per vector, order within a batch, coalescing of duplicates)
-//! under both clean and faulted schedules is the conformance claim.
-//! A [`FaultPlan`] is applied to the *schedule* before either model
-//! runs, so both models see the identical adversarial input and must
-//! still agree with each other.
-
-use serde::{Deserialize, Serialize};
+//! A [`FaultPlan`] is applied to the *schedule* (drop / delay /
+//! duplicate / reorder posts) before any model runs, so every model sees
+//! the identical adversarial input. [`expected_deliveries`] states what
+//! the UPID/UIRR contract then requires the receiver to take, and
+//! [`check_schedule`] runs the four delivery invariants over it. The
+//! fault-injection suite's conformance rows replay the effective
+//! schedule through `xui_oracle::check_timed_sends`, which diffs the
+//! oracle, the untimed models and the cycle-level simulator.
 
 use crate::inject::{FaultInjector, PostAction};
+use crate::invariants::{check, InvariantConfig, InvariantReport, EV_DELIVER, EV_IDLE, EV_POST};
 use crate::plan::FaultPlan;
-use xui_core::model::{CoreId, ProtocolModel};
-use xui_core::vectors::UserVector;
-use xui_sim::config::SystemConfig;
-use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
-use xui_sim::trace::TraceKind;
-use xui_sim::{Device, Program, System};
+use xui_telemetry::Event;
 
 /// One scheduled `senduipi` toward the single receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledSend {
     /// Virtual time (DES ticks == sim cycles) of the send.
     pub at: u64,
@@ -31,68 +24,40 @@ pub struct ScheduledSend {
     pub uv: u8,
 }
 
-/// A conformance scenario: a named send schedule plus sim parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConformanceScenario {
-    /// Scenario name (appears in reports).
-    pub name: String,
-    /// The send schedule, in any order (it is sorted before running).
-    pub sends: Vec<ScheduledSend>,
-    /// Sender-side µcode + APIC transit latency in the cycle model.
-    pub send_latency: u64,
-    /// Extra cycles the receiver keeps spinning after the last send, so
-    /// late deliveries land before it halts.
-    pub slack: u64,
-}
-
-impl ConformanceScenario {
-    /// A scenario with fig2-like sim timing defaults.
-    #[must_use]
-    pub fn new(name: impl Into<String>, sends: Vec<ScheduledSend>) -> Self {
-        Self {
-            name: name.into(),
-            sends,
-            send_latency: 140,
-            slack: 50_000,
-        }
+/// `sends` after applying `plan` (drop/delay/duplicate/reorder), sorted
+/// by time. Vectors are clamped into 0..64. Reorder faults permute
+/// *vectors across slots* inside windows — arrival times stay sorted,
+/// payloads swap, which is how fabric reordering looks to the receiver.
+#[must_use]
+pub fn effective_sends(sends: &[ScheduledSend], plan: Option<&FaultPlan>) -> Vec<ScheduledSend> {
+    let mut sends = sends.to_vec();
+    for s in &mut sends {
+        s.uv &= 63;
     }
-
-    /// The schedule after applying `plan` (drop/delay/duplicate/reorder),
-    /// sorted by time. Vectors are clamped into 0..64. Reorder faults
-    /// permute *vectors across slots* inside windows — arrival times stay
-    /// sorted, payloads swap, which is how fabric reordering looks to the
-    /// receiver.
-    #[must_use]
-    pub fn effective_sends(&self, plan: Option<&FaultPlan>) -> Vec<ScheduledSend> {
-        let mut sends = self.sends.clone();
-        for s in &mut sends {
-            s.uv &= 63;
-        }
-        sends.sort_by_key(|s| (s.at, s.uv));
-        let Some(plan) = plan else { return sends };
-        let mut inj = FaultInjector::new(plan);
-        let mut out = Vec::with_capacity(sends.len());
-        for s in sends {
-            match inj.on_post(s.at) {
-                PostAction::Deliver => out.push(s),
-                PostAction::Drop => {}
-                PostAction::Delay(by) => {
-                    out.push(ScheduledSend { at: s.at + by, uv: s.uv });
-                }
-                PostAction::Duplicate => {
-                    out.push(s);
-                    out.push(s);
-                }
+    sends.sort_by_key(|s| (s.at, s.uv));
+    let Some(plan) = plan else { return sends };
+    let mut inj = FaultInjector::new(plan);
+    let mut out = Vec::with_capacity(sends.len());
+    for s in sends {
+        match inj.on_post(s.at) {
+            PostAction::Deliver => out.push(s),
+            PostAction::Drop => {}
+            PostAction::Delay(by) => {
+                out.push(ScheduledSend { at: s.at + by, uv: s.uv });
+            }
+            PostAction::Duplicate => {
+                out.push(s);
+                out.push(s);
             }
         }
-        let mut uvs: Vec<u8> = out.iter().map(|s| s.uv).collect();
-        inj.permute_posts(&mut uvs);
-        for (s, uv) in out.iter_mut().zip(uvs) {
-            s.uv = uv;
-        }
-        out.sort_by_key(|s| (s.at, s.uv));
-        out
     }
+    let mut uvs: Vec<u8> = out.iter().map(|s| s.uv).collect();
+    inj.permute_posts(&mut uvs);
+    for (s, uv) in out.iter_mut().zip(uvs) {
+        s.uv = uv;
+    }
+    out.sort_by_key(|s| (s.at, s.uv));
+    out
 }
 
 /// The delivery obligations implied by an effective schedule: sends
@@ -118,172 +83,30 @@ pub fn expected_deliveries(effective: &[ScheduledSend]) -> Vec<ScheduledSend> {
     out
 }
 
-/// Outcome of one cross-model conformance run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConformanceReport {
-    /// Scenario name.
-    pub name: String,
-    /// Fault plan name applied to the schedule (`"none"` if clean).
-    pub plan: String,
-    /// Effective sends after fault application.
-    pub effective_sends: usize,
-    /// Expected delivery sequence (vectors, in obligation order).
-    pub expected_sequence: Vec<u8>,
-    /// Vectors the DES model delivered, in order.
-    pub des_sequence: Vec<u8>,
-    /// Handler entries observed in the cycle model, in cycle order.
-    pub sim_handler_cycles: Vec<u64>,
-    /// The cycle model's own delivery count (receiver `r20` increments).
-    pub sim_handler_count: u64,
-    /// Whether every cross-check agreed.
-    pub matched: bool,
-    /// First disagreement, when `matched` is false.
-    pub mismatch: Option<String>,
-}
+/// Post-to-delivery latency of the telemetry [`check_schedule`]
+/// synthesizes: the cycle-level replay's send latency (µcode + APIC
+/// transit).
+pub const SYNTH_DELIVERY_LATENCY: u64 = 140;
 
-/// Runs `scenario` (with `plan` applied to the schedule, if given)
-/// through both models and diffs the delivery traces.
-///
-/// # Panics
-///
-/// Panics only on internal model-setup errors (bad vector constants),
-/// which indicate a bug in the scenario construction, not a conformance
-/// failure — conformance failures are reported, never panicked.
+/// Synthesizes the telemetry stream an effective schedule implies —
+/// one post per expected delivery, its delivery
+/// [`SYNTH_DELIVERY_LATENCY`] ticks later, one final idle — and runs
+/// the four delivery invariants over it: the schedule the models agree
+/// on must itself satisfy them.
 #[must_use]
-pub fn run_conformance(
-    scenario: &ConformanceScenario,
-    plan: Option<&FaultPlan>,
-) -> ConformanceReport {
-    let effective = scenario.effective_sends(plan);
-    let expected = expected_deliveries(&effective);
-    let expected_sequence: Vec<u8> = expected.iter().map(|s| s.uv).collect();
-
-    let des_sequence = run_des(&effective);
-    let (sim_handler_cycles, sim_handler_count) = run_sim(scenario, &effective);
-
-    let mut mismatch = None;
-    if des_sequence != expected_sequence {
-        mismatch = Some(format!(
-            "DES delivered {des_sequence:?} but the schedule implies {expected_sequence:?}"
-        ));
-    } else if sim_handler_cycles.len() as u64 != sim_handler_count {
-        mismatch = Some(format!(
-            "cycle model trace shows {} handler entries but the handler ran {} times",
-            sim_handler_cycles.len(),
-            sim_handler_count
-        ));
-    } else if sim_handler_count != des_sequence.len() as u64 {
-        mismatch = Some(format!(
-            "cycle model delivered {sim_handler_count} interrupts, DES delivered {}",
-            des_sequence.len()
-        ));
+pub fn check_schedule(effective: &[ScheduledSend]) -> InvariantReport {
+    let mut events: Vec<Event> = Vec::new();
+    for s in expected_deliveries(effective) {
+        let uv = u64::from(s.uv);
+        events.push(Event::instant(s.at, 0, EV_POST).with_arg("uv", uv));
+        events.push(
+            Event::instant(s.at + SYNTH_DELIVERY_LATENCY, 0, EV_DELIVER).with_arg("uv", uv),
+        );
     }
-
-    ConformanceReport {
-        name: scenario.name.clone(),
-        plan: plan.map_or_else(|| "none".to_string(), |p| p.name.clone()),
-        effective_sends: effective.len(),
-        expected_sequence,
-        des_sequence,
-        sim_handler_cycles,
-        sim_handler_count,
-        matched: mismatch.is_none(),
-        mismatch,
-    }
-}
-
-/// DES side: sender and receiver threads, both scheduled; sends grouped
-/// into same-timestamp batches, draining between batches.
-fn run_des(effective: &[ScheduledSend]) -> Vec<u8> {
-    let mut sys = ProtocolModel::new(2);
-    let sender = sys.create_thread();
-    let receiver = sys.create_thread();
-    sys.register_handler(receiver, 0x4000)
-        .expect("register_handler on fresh thread");
-
-    // One UITT entry per distinct vector in the schedule.
-    let mut idx_by_uv = [None::<xui_core::uitt::UittIndex>; 64];
-    for s in effective {
-        let lane = usize::from(s.uv & 63);
-        if idx_by_uv[lane].is_none() {
-            let uv = UserVector::new(s.uv & 63).expect("clamped vector");
-            idx_by_uv[lane] = Some(
-                sys.register_sender(sender, receiver, uv)
-                    .expect("register_sender after register_handler"),
-            );
-        }
-    }
-    sys.schedule(sender, CoreId(0)).expect("idle core 0");
-    sys.schedule(receiver, CoreId(1)).expect("idle core 1");
-
-    let mut delivered = Vec::new();
-    let mut i = 0;
-    while i < effective.len() {
-        let at = effective[i].at;
-        sys.advance_time(at);
-        while i < effective.len() && effective[i].at == at {
-            let idx = idx_by_uv[usize::from(effective[i].uv & 63)].expect("registered above");
-            sys.senduipi(sender, idx).expect("send on valid uitt index");
-            i += 1;
-        }
-        for uv in sys.run_pending(receiver).expect("receiver is running") {
-            #[allow(clippy::cast_possible_truncation)]
-            delivered.push(uv.index() as u8);
-        }
-    }
-    delivered
-}
-
-/// Cycle-model side: a single receiver core spinning, with one one-shot
-/// `UipiTimer` device per scheduled send (huge period ⇒ fires once).
-fn run_sim(scenario: &ConformanceScenario, effective: &[ScheduledSend]) -> (Vec<u64>, u64) {
-    let last_at = effective.iter().map(|s| s.at).max().unwrap_or(0);
-    // The dependent sub chain retires ~1/cycle, so `imm` ≈ spin cycles.
-    let spin = last_at + scenario.send_latency + scenario.slack;
-    let receiver = Program::new(
-        "conformance-spin",
-        vec![
-            Inst::new(Op::Li { dst: Reg(1), imm: spin }),
-            Inst::new(Op::Alu {
-                kind: AluKind::Sub,
-                dst: Reg(1),
-                src: Reg(1),
-                op2: Operand::Imm(1),
-            }),
-            Inst::new(Op::Bnez { src: Reg(1), target: 1 }),
-            Inst::new(Op::Halt),
-            // Handler: count the delivery, return.
-            Inst::new(Op::Alu {
-                kind: AluKind::Add,
-                dst: Reg(20),
-                src: Reg(20),
-                op2: Operand::Imm(1),
-            }),
-            Inst::new(Op::Uiret),
-        ],
-    );
-    let mut sys = System::new(SystemConfig::uipi(), vec![receiver]);
-    sys.register_receiver(0, 4);
-    sys.cores[0].trace_enabled = true;
-    let upid_addr = sys.cores[0].upid_addr;
-    for s in effective {
-        sys.add_device(Device::UipiTimer {
-            period: 1 << 40, // one-shot within any realistic horizon
-            next_fire: s.at,
-            upid_addr,
-            user_vector: s.uv & 63,
-            send_latency: scenario.send_latency,
-        });
-    }
-    sys.run_until_halted(spin.saturating_mul(8).saturating_add(2_000_000));
-
-    let handler_cycles: Vec<u64> = sys
-        .trace_events()
-        .iter()
-        .filter(|e| e.core == 0 && e.kind == TraceKind::HandlerEntered)
-        .map(|e| e.cycle)
-        .collect();
-    (handler_cycles, sys.cores[0].reg(Reg(20)))
+    events.sort_by_key(|e| e.ts);
+    let end = events.last().map_or(0, |e| e.ts);
+    events.push(Event::instant(end + 1, 0, EV_IDLE));
+    check(&events, &InvariantConfig::default())
 }
 
 #[cfg(test)]
@@ -294,64 +117,47 @@ mod tests {
         spec.iter().map(|&(at, uv)| ScheduledSend { at, uv }).collect()
     }
 
+    fn timed(sends: &[ScheduledSend]) -> Vec<(u64, u8)> {
+        sends.iter().map(|s| (s.at, s.uv)).collect()
+    }
+
     #[test]
     fn expected_deliveries_batch_dedup_and_order() {
         // t=10: vectors 3, 9, 3 → batch {9, 3} highest-first.
         let eff = sends(&[(10, 3), (10, 9), (10, 3), (50, 1)]);
         let exp = expected_deliveries(&eff);
-        let seq: Vec<(u64, u8)> = exp.iter().map(|s| (s.at, s.uv)).collect();
-        assert_eq!(seq, vec![(10, 9), (10, 3), (50, 1)]);
+        assert_eq!(timed(&exp), vec![(10, 9), (10, 3), (50, 1)]);
     }
 
     #[test]
-    fn clean_two_send_scenario_matches() {
-        let sc = ConformanceScenario::new("clean", sends(&[(2_000, 5), (6_000, 7)]));
-        let r = run_conformance(&sc, None);
-        assert!(r.matched, "{:?}", r.mismatch);
-        assert_eq!(r.des_sequence, vec![5, 7]);
-        assert_eq!(r.sim_handler_count, 2);
-        assert_eq!(r.sim_handler_cycles.len(), 2);
-        assert!(r.sim_handler_cycles[0] >= 2_000);
+    fn duplicate_and_drop_plans_rewrite_the_schedule() {
+        let two = sends(&[(2_000, 5), (6_000, 7)]);
+        let dup = FaultPlan::named("dup-all").duplicate_every(1, 1);
+        let eff = effective_sends(&two, Some(&dup));
+        assert_eq!(timed(&eff), vec![(2_000, 5), (2_000, 5), (6_000, 7), (6_000, 7)]);
+        // Duplicates coalesce: still two obligations.
+        assert_eq!(timed(&expected_deliveries(&eff)), timed(&two));
+
+        let three = sends(&[(2_000, 5), (6_000, 7), (10_000, 3)]);
+        let drop = FaultPlan::named("drop-2nd").drop_every(3, 2);
+        assert_eq!(timed(&effective_sends(&three, Some(&drop))), vec![(2_000, 5), (10_000, 3)]);
+
+        let drop_all = FaultPlan::named("drop-all").drop_every(1, 1);
+        assert!(effective_sends(&[], Some(&drop_all)).is_empty());
+        assert!(effective_sends(&three, Some(&drop_all)).is_empty());
     }
 
     #[test]
-    fn duplicate_fault_coalesces_in_both_models() {
-        let sc = ConformanceScenario::new("dup", sends(&[(2_000, 5), (6_000, 7)]));
-        let plan = FaultPlan::named("dup-all").duplicate_every(1, 1);
-        let r = run_conformance(&sc, Some(&plan));
-        assert!(r.matched, "{:?}", r.mismatch);
-        // 4 effective sends, but duplicates coalesce: still 2 deliveries.
-        assert_eq!(r.effective_sends, 4);
-        assert_eq!(r.des_sequence, vec![5, 7]);
-        assert_eq!(r.sim_handler_count, 2);
+    fn clean_schedule_is_sorted_and_clamped() {
+        let eff = effective_sends(&sends(&[(6_000, 71), (2_000, 9), (2_000, 5)]), None);
+        assert_eq!(timed(&eff), vec![(2_000, 5), (2_000, 9), (6_000, 7)]);
     }
 
     #[test]
-    fn drop_fault_removes_deliveries_consistently() {
-        let sc = ConformanceScenario::new("drop", sends(&[(2_000, 5), (6_000, 7), (10_000, 3)]));
-        let plan = FaultPlan::named("drop-2nd").drop_every(3, 2);
-        let r = run_conformance(&sc, Some(&plan));
-        assert!(r.matched, "{:?}", r.mismatch);
-        assert_eq!(r.des_sequence, vec![5, 3]);
-        assert_eq!(r.sim_handler_count, 2);
-    }
-
-    #[test]
-    fn same_cycle_batch_delivers_highest_first() {
-        let sc = ConformanceScenario::new("batch", sends(&[(3_000, 2), (3_000, 9)]));
-        let r = run_conformance(&sc, None);
-        assert!(r.matched, "{:?}", r.mismatch);
-        assert_eq!(r.des_sequence, vec![9, 2]);
-        assert_eq!(r.sim_handler_count, 2);
-    }
-
-    #[test]
-    fn empty_schedule_trivially_matches() {
-        let sc = ConformanceScenario::new("empty", vec![]);
-        let plan = FaultPlan::named("drop-all").drop_every(1, 1);
-        let r = run_conformance(&sc, Some(&plan));
-        assert!(r.matched);
-        assert_eq!(r.effective_sends, 0);
-        assert_eq!(r.sim_handler_count, 0);
+    fn a_schedules_obligations_satisfy_the_invariants() {
+        let eff = sends(&[(2_000, 5), (2_000, 5), (2_000, 9), (6_000, 7)]);
+        let r = check_schedule(&eff);
+        assert!(r.pass(), "{:?}", r.violations);
+        assert_eq!((r.posts, r.delivers, r.idles), (3, 3, 1));
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic fault injection and cross-model conformance checking
-//! for the xUI reproduction.
+//! Deterministic fault injection and delivery-invariant checking for
+//! the xUI reproduction.
 //!
 //! The paper's delivery guarantees (§4.2–§4.5) are liveness claims: no
 //! user interrupt may be lost or duplicated across UPID posting,
@@ -22,9 +22,10 @@
 //!   worst-case scenario band (`wc_*` presets) reports through;
 //! - [`recovery::DegradeGuard`] — the fallback-to-polling policy used
 //!   when injected faults exceed a plan's threshold;
-//! - [`conformance`] — runs one send schedule through the untimed DES
-//!   behavioural model and the cycle-level simulator and diffs the
-//!   delivery traces.
+//! - [`conformance`] — applies a plan to a send schedule and derives
+//!   the deliveries the faulted schedule obliges (coalesced,
+//!   highest-vector-first per batch); the conformance rows of the
+//!   fault-injection suite replay it through `xui_oracle`'s differ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +37,7 @@ pub mod jitter;
 pub mod plan;
 pub mod recovery;
 
-pub use conformance::{
-    expected_deliveries, run_conformance, ConformanceReport, ConformanceScenario, ScheduledSend,
-};
+pub use conformance::{check_schedule, effective_sends, expected_deliveries, ScheduledSend};
 pub use inject::{FaultInjector, InjectionLog, PostAction};
 pub use invariants::{
     check, check_with_obligations, InvariantConfig, InvariantKind, InvariantReport,

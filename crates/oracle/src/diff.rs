@@ -10,7 +10,8 @@
 //!   protocol plus syscall bookkeeping and teardown);
 //! - `sim` — [`xui_sim::System`], the cycle-level pipeline model, which
 //!   only supports the sends-only schedule class (see
-//!   [`Schedule::is_sim_compatible`]).
+//!   [`Schedule::is_sim_compatible`]). [`check_timed_sends`] replays a
+//!   list of timed sends through it without that gate.
 //!
 //! The two untimed models replay in one pass: a single lockstep
 //! [`Oracle`] steps once per event, each event's guards are evaluated
@@ -621,7 +622,7 @@ fn lane_of(schedule: &Schedule, uv: u8) -> usize {
         .expect("generator draws send vectors from the registered lanes")
 }
 
-/// Cycle-level replay of a sims-compatible schedule: one spinning
+/// Cycle-level replay of a schedule's timed sends: one spinning
 /// receiver core, one one-shot `UipiTimer` device per timed send.
 /// Returns the number of handler entries.
 fn replay_sim(schedule: &Schedule) -> Result<u64, String> {
@@ -707,6 +708,38 @@ fn compare(model: &str, oracle: &Outcome, observed: Result<Outcome, String>) -> 
     }
 }
 
+/// The untimed arm: replays `schedule` through the oracle and both
+/// untimed models and returns the oracle's outcome, or the first
+/// divergence (protocol, then kernel).
+fn check_untimed(schedule: &Schedule, opts: CheckOptions) -> Result<Outcome, Box<Divergence>> {
+    let UntimedReplay { oracle, protocol, kernel } =
+        REPLAYER.with(|r| replay_untimed(&mut r.borrow_mut(), schedule, opts));
+    if let Some(d) = compare("protocol", &oracle, protocol) {
+        return Err(Box::new(d));
+    }
+    if let Some(d) = compare("kernel", &oracle, kernel) {
+        return Err(Box::new(d));
+    }
+    Ok(oracle)
+}
+
+/// The sim arm: replays `schedule`'s timed sends through the cycle-level
+/// simulator and compares its delivery count with the oracle's.
+fn check_sim(schedule: &Schedule, oracle: &Outcome) -> Option<Divergence> {
+    match replay_sim(schedule) {
+        Err(detail) => Some(diverge("sim", detail, oracle, Outcome::default())),
+        Ok(count) if count != oracle.delivered.len() as u64 => {
+            let detail = format!(
+                "cycle model delivered {count} interrupts, oracle delivered {}",
+                oracle.delivered.len()
+            );
+            let observed = Outcome { delivered: vec![], on: false, sn: false, pir: count };
+            Some(diverge("sim", detail, oracle, observed))
+        }
+        Ok(_) => None,
+    }
+}
+
 /// Checks one schedule against the protocol and kernel models (and the
 /// cycle-level simulator when the schedule is sim-compatible). Returns
 /// the first divergence in report order (protocol, kernel, sim),
@@ -719,31 +752,35 @@ pub fn check(schedule: &Schedule) -> Option<Divergence> {
 /// [`check`] with explicit [`CheckOptions`].
 #[must_use]
 pub fn check_with(schedule: &Schedule, opts: CheckOptions) -> Option<Divergence> {
-    let UntimedReplay { oracle, protocol, kernel } =
-        REPLAYER.with(|r| replay_untimed(&mut r.borrow_mut(), schedule, opts));
-    if let Some(d) = compare("protocol", &oracle, protocol) {
-        return Some(d);
+    match check_untimed(schedule, opts) {
+        Err(d) => Some(*d),
+        Ok(oracle) if schedule.is_sim_compatible() => check_sim(schedule, &oracle),
+        Ok(_) => None,
     }
-    if let Some(d) = compare("kernel", &oracle, kernel) {
-        return Some(d);
+}
+
+/// Checks a list of timed sends `(at, uv)` toward one running receiver
+/// (the schedule [`Schedule::from_timed_sends`] builds) against all
+/// three models, and returns the oracle's outcome or the first
+/// divergence in report order.
+///
+/// Unlike [`check`], the sim arm runs even when the schedule is not
+/// sim-compatible: the fault-injection suite's conformance rows, whose
+/// delayed posts can leave batches closer than
+/// [`Schedule::SIM_MIN_GAP`], have always been replayed through the
+/// cycle-level simulator and agree with it. At most 16 distinct vectors
+/// fit the kernel replay's UITT.
+///
+/// # Errors
+///
+/// The first [`Divergence`] (protocol, kernel, then sim).
+pub fn check_timed_sends(sends: &[(u64, u8)]) -> Result<Outcome, Box<Divergence>> {
+    let schedule = Schedule::from_timed_sends(sends);
+    let oracle = check_untimed(&schedule, CheckOptions::default())?;
+    match check_sim(&schedule, &oracle) {
+        Some(d) => Err(Box::new(d)),
+        None => Ok(oracle),
     }
-    if schedule.is_sim_compatible() {
-        match replay_sim(schedule) {
-            Err(detail) => {
-                return Some(diverge("sim", detail, &oracle, Outcome::default()));
-            }
-            Ok(count) if count != oracle.delivered.len() as u64 => {
-                let detail = format!(
-                    "cycle model delivered {count} interrupts, oracle delivered {}",
-                    oracle.delivered.len()
-                );
-                let observed = Outcome { delivered: vec![], on: false, sn: false, pir: count };
-                return Some(diverge("sim", detail, &oracle, observed));
-            }
-            Ok(_) => {}
-        }
-    }
-    None
 }
 
 /// Shrinks a diverging schedule with ddmin over its event list: repeated
@@ -920,6 +957,52 @@ mod tests {
             serde_json::from_str(&reproducer_json(&r)).expect("reproducer parses back");
         assert_eq!(parsed, r);
         assert_eq!(check_with(&parsed.schedule, opts), Some(r.divergence));
+    }
+
+    #[test]
+    fn timed_sends_agree_across_all_three_and_deliver_in_time_order() {
+        let out = check_timed_sends(&[(2_000, 5), (6_000, 7)]).expect("models agree");
+        assert_eq!(out.delivered, vec![5, 7]);
+        assert_eq!(out.pir, 0, "everything drains");
+    }
+
+    #[test]
+    fn timed_same_cycle_duplicates_coalesce_in_every_model() {
+        // What a duplicate-every-post fault leaves: each send posted
+        // twice in its cycle. Four sends, two deliveries.
+        let out = check_timed_sends(&[(2_000, 5), (2_000, 5), (6_000, 7), (6_000, 7)])
+            .expect("models agree");
+        assert_eq!(out.delivered, vec![5, 7]);
+    }
+
+    #[test]
+    fn timed_sends_with_a_dropped_post_deliver_the_survivors() {
+        // The middle send of (2 000, 5), (6 000, 7), (10 000, 3) dropped.
+        let out = check_timed_sends(&[(2_000, 5), (10_000, 3)]).expect("models agree");
+        assert_eq!(out.delivered, vec![5, 3]);
+    }
+
+    #[test]
+    fn timed_same_cycle_batch_delivers_highest_vector_first() {
+        let out = check_timed_sends(&[(3_000, 2), (3_000, 9)]).expect("models agree");
+        assert_eq!(out.delivered, vec![9, 2]);
+    }
+
+    #[test]
+    fn no_timed_sends_deliver_nothing() {
+        let out = check_timed_sends(&[]).expect("models agree");
+        assert!(out.delivered.is_empty());
+    }
+
+    #[test]
+    fn timed_sends_closer_than_the_sim_gap_still_replay_in_full() {
+        // A 1 000-cycle delayed post leaves a batch gap below
+        // SIM_MIN_GAP, so `check` would skip the sim arm; this entry
+        // replays it anyway and every model delivers all three.
+        let sends = [(2_000, 5), (3_000, 7), (6_000, 9), (6_000, 1)];
+        assert!(!Schedule::from_timed_sends(&sends).is_sim_compatible());
+        let out = check_timed_sends(&sends).expect("models agree");
+        assert_eq!(out.delivered, vec![5, 7, 9, 1]);
     }
 
     #[test]

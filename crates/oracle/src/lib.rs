@@ -29,8 +29,8 @@ pub mod schedule;
 pub mod spec;
 
 pub use diff::{
-    check, check_with, fuzz_one, reproducer_json, shrink, shrink_with, CheckOptions, Divergence,
-    Reproducer,
+    check, check_timed_sends, check_with, fuzz_one, reproducer_json, shrink, shrink_with,
+    CheckOptions, Divergence, Reproducer,
 };
 pub use schedule::{Event, ForwardLine, Schedule};
 pub use spec::{Oracle, Outcome, TimerState};

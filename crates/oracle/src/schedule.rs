@@ -223,6 +223,50 @@ impl Schedule {
         }
     }
 
+    /// The sends-only schedule for a list of timed sends `(at, uv)`:
+    /// the receiver is scheduled on core 1 up front, and each batch of
+    /// sends sharing a timestamp becomes `AdvanceTime`, its `Send`s in
+    /// list order, and one `Deliver`. Sends are stably sorted by time
+    /// first and vectors are clamped into 0..64. The result passes
+    /// [`Schedule::is_sim_compatible`] only if its batches are at least
+    /// [`Schedule::SIM_MIN_GAP`] cycles apart.
+    #[must_use]
+    pub fn from_timed_sends(sends: &[(u64, u8)]) -> Self {
+        let mut sends = sends.to_vec();
+        sends.sort_by_key(|&(at, _)| at);
+        let mut send_vectors: Vec<u8> = Vec::new();
+        let mut events = vec![Event::Schedule { core: 1 }];
+        let mut now = 0u64;
+        for (i, &(at, uv)) in sends.iter().enumerate() {
+            let uv = uv & 63;
+            if !send_vectors.contains(&uv) {
+                send_vectors.push(uv);
+            }
+            if i == 0 || at != now {
+                // A gap wider than one `AdvanceTime` takes several.
+                let mut dt = at - now;
+                while dt > u64::from(u32::MAX) {
+                    events.push(Event::AdvanceTime { dt: u32::MAX });
+                    dt -= u64::from(u32::MAX);
+                }
+                events.push(Event::AdvanceTime { dt: dt as u32 });
+                now = at;
+            }
+            events.push(Event::Send { uv });
+            if sends.get(i + 1).is_none_or(|&(next, _)| next != at) {
+                events.push(Event::Deliver);
+            }
+        }
+        Self {
+            seed: 0,
+            cores: 2,
+            send_vectors,
+            timer_vector: None,
+            forwarded: Vec::new(),
+            events,
+        }
+    }
+
     /// Minimum cycle gap between send batches in sim-class schedules:
     /// comfortably larger than the sim's send latency plus its
     /// notification-processing and handler time.
@@ -419,6 +463,28 @@ mod tests {
         // Now: Schedule, Send, Deliver, AdvanceTime{0}, Send — the
         // Deliver splits a same-timestamp batch.
         assert!(!split_batch.is_sim_compatible());
+    }
+
+    #[test]
+    fn timed_sends_become_one_drained_batch_per_timestamp() {
+        let s = Schedule::from_timed_sends(&[(4_000, 70), (2_000, 9), (2_000, 5)]);
+        assert_eq!(s.send_vectors, vec![9, 5, 6]);
+        assert_eq!(
+            s.events,
+            vec![
+                Event::Schedule { core: 1 },
+                Event::AdvanceTime { dt: 2_000 },
+                Event::Send { uv: 9 },
+                Event::Send { uv: 5 },
+                Event::Deliver,
+                Event::AdvanceTime { dt: 2_000 },
+                Event::Send { uv: 6 },
+                Event::Deliver,
+            ]
+        );
+        assert!(s.is_sim_compatible());
+        assert_eq!(s.timed_sends(), vec![(2_000, 9), (2_000, 5), (4_000, 6)]);
+        assert!(!Schedule::from_timed_sends(&[(2_000, 9), (3_000, 5)]).is_sim_compatible());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Deterministic fault-injection scenario suite: replays named
-//! [`FaultPlan`]s against the cross-model conformance harness, the
+//! [`FaultPlan`]s against the oracle differ's timed-send replay, the
 //! Aspen-like server, the l3fwd router and the kernel send path, and
 //! checks the four delivery invariants over the resulting traces.
 //!
@@ -11,8 +11,8 @@ use serde::Serialize;
 use xui_core::vectors::UserVector;
 use xui_faults::invariants::{EV_DELIVER, EV_IDLE, EV_POST};
 use xui_faults::{
-    check, expected_deliveries, run_conformance, ConformanceScenario, FaultPlan,
-    InvariantConfig, InvariantKind, ScheduledSend,
+    check, check_schedule, effective_sends, expected_deliveries, FaultPlan, InvariantConfig,
+    InvariantKind, ScheduledSend,
 };
 use xui_kernel::{KernelError, RetryPolicy, UintrKernel};
 use xui_net::l3fwd::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig};
@@ -73,48 +73,40 @@ struct Outcome {
     detail: String,
 }
 
-/// Synthesizes the telemetry stream implied by an effective schedule —
-/// novel posts per batch, deliveries `latency` ticks later, one final
-/// idle — and runs the invariant checker over it. This closes the loop:
-/// the schedule both models agreed on must itself satisfy the four
-/// delivery invariants.
-fn check_schedule(effective: &[ScheduledSend], latency: u64) -> (u64, u64, u64) {
-    let expected = expected_deliveries(effective);
-    let mut events: Vec<Event> = Vec::new();
-    for s in &expected {
-        events.push(Event::instant(s.at, 0, EV_POST).with_arg("uv", u64::from(s.uv)));
-        events.push(Event::instant(s.at + latency, 0, EV_DELIVER).with_arg("uv", u64::from(s.uv)));
-    }
-    events.sort_by_key(|e| e.ts);
-    let end = events.last().map_or(0, |e| e.ts);
-    events.push(Event::instant(end + 1, 0, EV_IDLE));
-    let report = check(&events, &InvariantConfig::default());
-    (report.posts, report.delivers, report.violations.len() as u64)
-}
-
-fn conformance_outcome(
-    name: &'static str,
-    scenario: &ConformanceScenario,
-    plan: Option<&FaultPlan>,
-) -> Outcome {
-    let report = run_conformance(scenario, plan);
-    let effective = scenario.effective_sends(plan);
-    let (inv_posts, inv_delivers, inv_violations) = check_schedule(&effective, 140);
-    let passed = report.matched && inv_violations == 0;
+/// Applies `plan` to the base schedule and replays the effective sends
+/// through the oracle differ (oracle, protocol and kernel models, cycle
+/// sim); the oracle's delivery sequence must match the schedule's
+/// obligations and satisfy the four delivery invariants.
+fn conformance_outcome(name: &'static str, plan: Option<&FaultPlan>) -> Outcome {
+    let effective = effective_sends(&base_schedule(), plan);
+    let expected: Vec<u8> = expected_deliveries(&effective).iter().map(|s| s.uv).collect();
+    let timed: Vec<(u64, u8)> = effective.iter().map(|s| (s.at, s.uv)).collect();
+    let (delivered, mismatch) = match xui_oracle::check_timed_sends(&timed) {
+        Ok(out) if out.delivered != expected => {
+            let m = format!(
+                "models delivered {:?} but the schedule implies {expected:?}",
+                out.delivered
+            );
+            (out.delivered, Some(m))
+        }
+        Ok(out) => (out.delivered, None),
+        Err(d) => (d.oracle.delivered, Some(format!("{} model: {}", d.model, d.detail))),
+    };
+    let inv = check_schedule(&effective);
+    let inv_violations = inv.violations.len() as u64;
     Outcome {
         name,
         kind: "conformance",
-        passed,
+        passed: mismatch.is_none() && inv_violations == 0,
         effective: effective.len() as u64,
-        delivered: report.des_sequence.len() as u64,
-        matched: report.matched,
-        inv_posts,
-        inv_delivers,
+        delivered: delivered.len() as u64,
+        matched: mismatch.is_none(),
+        inv_posts: inv.posts,
+        inv_delivers: inv.delivers,
         inv_violations,
         degraded_to_polling: false,
-        detail: report.mismatch.unwrap_or_else(|| {
-            format!("DES sequence {:?} == expected; sim agrees", report.des_sequence)
-        }),
+        detail: mismatch
+            .unwrap_or_else(|| format!("DES sequence {delivered:?} == expected; sim agrees")),
     }
 }
 
@@ -339,38 +331,30 @@ fn scenario_checker_detects() -> Outcome {
 }
 
 fn run_scenario(name: &str) -> Outcome {
-    let base = ConformanceScenario::new("base-schedule", base_schedule());
     match name {
-        "conformance_clean_baseline" => {
-            conformance_outcome("conformance_clean_baseline", &base, None)
-        }
+        "conformance_clean_baseline" => conformance_outcome("conformance_clean_baseline", None),
         "conformance_drop_every_3rd" => conformance_outcome(
             "conformance_drop_every_3rd",
-            &base,
             Some(&FaultPlan::named("drop-every-3rd").seed(7).drop_every(3, 1)),
         ),
         "conformance_duplicate_flood" => conformance_outcome(
             "conformance_duplicate_flood",
-            &base,
             Some(&FaultPlan::named("duplicate-flood").seed(7).duplicate_every(1, 1)),
         ),
         // Delay must exceed the sim's ~1,360-cycle post→handler pipeline:
         // a shorter delay re-posts a vector while its predecessor is
         // still in flight, which coalesces in UIRR in the cycle model but
-        // not in the untimed DES — a granularity gap, not a fault bug.
+        // not in the untimed models — a granularity gap, not a fault bug.
         "conformance_delayed_bursts" => conformance_outcome(
             "conformance_delayed_bursts",
-            &base,
             Some(&FaultPlan::named("delay-odd-posts").seed(7).delay_every(2, 1, 2_000)),
         ),
         "conformance_reorder_window_4" => conformance_outcome(
             "conformance_reorder_window_4",
-            &base,
             Some(&FaultPlan::named("reorder-window-4").seed(9).reorder_posts(4)),
         ),
         "conformance_drop_delay_mix" => conformance_outcome(
             "conformance_drop_delay_mix",
-            &base,
             Some(
                 &FaultPlan::named("drop-delay-mix")
                     .seed(11)

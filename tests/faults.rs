@@ -1,5 +1,6 @@
-//! Fault-injection integration suite: the four delivery invariants, the
-//! cross-model conformance harness and the graceful-degradation paths,
+//! Fault-injection integration suite: the four delivery invariants,
+//! faulted schedules replayed through the oracle differ and the
+//! graceful-degradation paths,
 //! exercised end-to-end through the facade crate.
 //!
 //! Every test body runs under a watchdog so a liveness bug (a fault
@@ -12,11 +13,12 @@ use std::time::Duration;
 
 use xui::faults::invariants::{EV_DELIVER, EV_IDLE, EV_POST};
 use xui::faults::{
-    check, expected_deliveries, run_conformance, ConformanceScenario, FaultInjector, FaultPlan,
+    check, check_schedule, effective_sends, expected_deliveries, FaultInjector, FaultPlan,
     InvariantConfig, InvariantKind, ScheduledSend,
 };
 use xui::kernel::{KernelError, PreemptMechanism, RetryPolicy, UintrKernel};
 use xui::net::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig};
+use xui::oracle::check_timed_sends;
 use xui::runtime::{run_server, run_server_with, ServerConfig};
 use xui::telemetry::{Event, NullRecorder};
 
@@ -46,26 +48,10 @@ fn schedule() -> Vec<ScheduledSend> {
         .collect()
 }
 
-/// Synthesizes the post/deliver/idle telemetry implied by an effective
-/// schedule (delivery 140 ticks after each coalesced post) and checks
-/// the four invariants over it.
-fn check_schedule(effective: &[ScheduledSend]) -> usize {
-    let expected = expected_deliveries(effective);
-    let mut events: Vec<Event> = Vec::new();
-    for s in &expected {
-        events.push(Event::instant(s.at, 0, EV_POST).with_arg("uv", u64::from(s.uv)));
-        events.push(Event::instant(s.at + 140, 0, EV_DELIVER).with_arg("uv", u64::from(s.uv)));
-    }
-    events.sort_by_key(|e| e.ts);
-    let end = events.last().map_or(0, |e| e.ts);
-    events.push(Event::instant(end + 1, 0, EV_IDLE));
-    check(&events, &InvariantConfig::default()).violations.len()
-}
-
 #[test]
 fn conformance_agrees_across_models_over_a_seed_grid() {
     with_timeout("conformance_agrees_across_models_over_a_seed_grid", 120, || {
-        let scenario = ConformanceScenario::new("grid", schedule());
+        let sends = schedule();
         for seed in [1u64, 7, 42, 1234] {
             let plans = [
                 FaultPlan::named("grid-drop").seed(seed).drop_every(3, 2),
@@ -73,18 +59,19 @@ fn conformance_agrees_across_models_over_a_seed_grid() {
                 FaultPlan::named("grid-reorder").seed(seed).reorder_posts(3),
             ];
             for plan in &plans {
-                let r = run_conformance(&scenario, Some(plan));
+                let effective = effective_sends(&sends, Some(plan));
+                let timed: Vec<(u64, u8)> = effective.iter().map(|s| (s.at, s.uv)).collect();
+                let out = check_timed_sends(&timed)
+                    .unwrap_or_else(|d| panic!("seed {seed} plan {:?}: {d:?}", plan.name));
+                let expected: Vec<u8> =
+                    expected_deliveries(&effective).iter().map(|s| s.uv).collect();
+                assert_eq!(out.delivered, expected, "seed {seed} plan {:?}", plan.name);
+                let inv = check_schedule(&effective);
                 assert!(
-                    r.matched,
-                    "seed {seed} plan {:?}: {:?}",
-                    plan.name, r.mismatch
-                );
-                let effective = scenario.effective_sends(Some(plan));
-                assert_eq!(
-                    check_schedule(&effective),
-                    0,
-                    "seed {seed} plan {:?}: surviving schedule violates invariants",
-                    plan.name
+                    inv.pass(),
+                    "seed {seed} plan {:?}: surviving schedule violates invariants: {:?}",
+                    plan.name,
+                    inv.violations
                 );
             }
         }

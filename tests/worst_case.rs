@@ -5,9 +5,9 @@
 //!   the deliberate-violation preset exits nonzero — the golden check
 //!   of `tests/support` over the band;
 //! - a low-vector flood never delays a pending high vector past its
-//!   deadline — checked through the conformance harness (behavioural
-//!   DES model + cycle simulator), the reference oracle with the
-//!   protocol/kernel-model differ, and the invariant checker's
+//!   deadline — checked as timed sends through the oracle differ (all
+//!   three models, the cycle simulator included), as a hand-written
+//!   oracle schedule, and through the invariant checker's
 //!   parameterized obligation over a synthesized telemetry stream;
 //! - the deliberate-violation preset exits nonzero from the `xui` CLI
 //!   with the offending event and observed latency in the message.
@@ -16,8 +16,8 @@ mod support;
 
 use xui_faults::invariants::{EV_DELIVER, EV_POST};
 use xui_faults::{
-    check_with_obligations, run_conformance, ConformanceScenario, InvariantConfig,
-    LatencyObligation, ScheduledSend,
+    check_with_obligations, expected_deliveries, InvariantConfig, LatencyObligation,
+    ScheduledSend,
 };
 use xui_oracle::{Event as OracleEvent, Oracle, Schedule};
 use xui_telemetry::Event;
@@ -49,18 +49,19 @@ fn flood_sends() -> Vec<ScheduledSend> {
     sends
 }
 
-/// Satellite (conformance harness leg): a same-cycle low-vector flood
-/// never delays the pending high vector — the behavioural DES model and
-/// the cycle-level simulator both deliver 63 first.
+/// Satellite (timed-send leg): a same-cycle low-vector flood never
+/// delays the pending high vector — replayed as timed sends through the
+/// oracle, the protocol and kernel models and the cycle-level simulator,
+/// all of which deliver 63 first.
 #[test]
 fn low_flood_never_delays_high_vector_in_des_and_cycle_sim() {
-    let sc = ConformanceScenario::new("wc-hv-first-flood", flood_sends());
-    let r = run_conformance(&sc, None);
-    assert!(r.matched, "models diverged: {:?}", r.mismatch);
-    assert_eq!(r.expected_sequence.first(), Some(&63), "{:?}", r.expected_sequence);
-    assert_eq!(r.des_sequence.first(), Some(&63), "{:?}", r.des_sequence);
-    assert_eq!(r.des_sequence.len(), 11, "flood must coalesce to one delivery per vector");
-    assert_eq!(r.sim_handler_count, 11);
+    let sends = flood_sends();
+    let expected = expected_deliveries(&sends);
+    assert_eq!(expected.first().map(|s| s.uv), Some(63), "{expected:?}");
+    let timed: Vec<(u64, u8)> = sends.iter().map(|s| (s.at, s.uv)).collect();
+    let out = xui_oracle::check_timed_sends(&timed).expect("models agree");
+    assert_eq!(out.delivered.first(), Some(&63), "{:?}", out.delivered);
+    assert_eq!(out.delivered.len(), 11, "flood must coalesce to one delivery per vector");
 }
 
 /// Satellite (oracle + kernel-model leg): the reference oracle drains
@@ -94,7 +95,7 @@ fn low_flood_never_delays_high_vector_in_oracle_and_kernel_model() {
 /// event and latency — when the high vector is served last.
 #[test]
 fn obligation_separates_highest_first_from_inverted_service_order() {
-    let posts_at = 3_140; // send time + conformance send latency
+    let posts_at = 3_140; // send time + the sim replay's send latency
     let step = 200; // per-delivery service time
     let deadline = 1_000;
     let obligation =
