@@ -190,7 +190,7 @@ fn bench_protocol_send_deliver(c: &mut Criterion) {
     c.bench_function("protocol_send_deliver", |b| {
         b.iter(|| {
             sys.senduipi(sender, idx).unwrap();
-            black_box(sys.run_pending(receiver).unwrap())
+            black_box(sys.run_pending(receiver).unwrap().len())
         })
     });
 }

@@ -2,10 +2,8 @@
 //! periodic polling via the OS interval timer, and xUI device interrupts.
 
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{Event, NullRecorder, Recorder};
 
 use xui_core::CostModel;
-use xui_faults::FaultInjector;
 use xui_kernel::os_timers::SETITIMER_MIN_PERIOD;
 use xui_kernel::OsCosts;
 
@@ -65,37 +63,6 @@ impl CompletionWaiter {
     /// written at `completed_at` is observed.
     #[must_use]
     pub fn wait(&self, wait_start: u64, completed_at: u64) -> WaitOutcome {
-        self.wait_traced(wait_start, completed_at, 0, &mut NullRecorder)
-    }
-
-    /// [`CompletionWaiter::wait`] with telemetry: records an
-    /// `offload_wait` span on `actor` from the submit return to the
-    /// moment the completion is observed (argument `delay` = detection
-    /// delay in cycles), plus a `completed` instant at the device's
-    /// completion-record write. With [`NullRecorder`] this is exactly
-    /// the untraced computation.
-    #[must_use]
-    pub fn wait_traced<R: Recorder>(
-        &self,
-        wait_start: u64,
-        completed_at: u64,
-        actor: u32,
-        rec: &mut R,
-    ) -> WaitOutcome {
-        let outcome = self.wait_inner(wait_start, completed_at);
-        if rec.enabled() {
-            rec.record(Event::begin(wait_start, actor, "offload_wait"));
-            rec.record(Event::instant(completed_at, actor, "completed"));
-            rec.record(
-                Event::end(outcome.detected_at, actor, "offload_wait")
-                    .with_arg("delay", outcome.detection_delay)
-                    .with_arg("cpu_free", outcome.cpu_free),
-            );
-        }
-        outcome
-    }
-
-    fn wait_inner(&self, wait_start: u64, completed_at: u64) -> WaitOutcome {
         let span = completed_at.saturating_sub(wait_start);
         match self.mode {
             CompletionMode::BusySpin => {
@@ -140,40 +107,6 @@ impl CompletionWaiter {
                 }
             }
         }
-    }
-
-    /// Observes a batch of completions in notification order: the wait
-    /// for completion *k*+1 starts the moment completion *k* was
-    /// detected, so a late record at the head of the batch delays
-    /// everything behind it (head-of-line blocking on the completion
-    /// stream). Records whose completion time has already passed when
-    /// their wait starts are detected with the mode's minimum delay.
-    ///
-    /// With `faults`, the injector's `ReorderCompletions` op first
-    /// permutes the notification order within its windows (the
-    /// accelerator raised its completion interrupts out of submission
-    /// order), so an early descriptor can be stuck behind a slow one.
-    /// An empty plan changes nothing.
-    #[must_use]
-    pub fn observe_batch(
-        &self,
-        wait_start: u64,
-        completed_at: &[u64],
-        faults: Option<&mut FaultInjector>,
-    ) -> Vec<WaitOutcome> {
-        let mut order = completed_at.to_vec();
-        if let Some(inj) = faults {
-            inj.permute_completions(&mut order);
-        }
-        let mut start = wait_start;
-        order
-            .into_iter()
-            .map(|c| {
-                let o = self.wait(start, c.max(start));
-                start = o.detected_at;
-                o
-            })
-            .collect()
     }
 }
 
@@ -223,65 +156,6 @@ mod tests {
         let o = w.wait(0, 100);
         // Clamped to the 2 µs floor: detection waits for tick 1 at 4000.
         assert!(o.detected_at >= SETITIMER_MIN_PERIOD);
-    }
-
-    #[test]
-    fn traced_wait_matches_untraced_and_spans_balance() {
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let mut rec = xui_telemetry::RingRecorder::new(16);
-        let traced = w.wait_traced(1_000, 5_000, 7, &mut rec);
-        assert_eq!(traced, w.wait(1_000, 5_000));
-        let events = rec.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0], xui_telemetry::Event::begin(1_000, 7, "offload_wait"));
-        assert_eq!(events[1].name, "completed");
-        assert_eq!(events[2].arg("delay"), Some(traced.detection_delay));
-        assert_eq!(events[2].arg("cpu_free"), Some(traced.cpu_free));
-        let doc = xui_telemetry::chrome::trace_json(&events);
-        xui_telemetry::chrome::validate(&doc).expect("balanced wait trace");
-    }
-
-    #[test]
-    fn observe_batch_detections_are_monotonic_and_hol_block() {
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let outs = w.observe_batch(0, &[10_000, 2_000, 30_000], None);
-        assert_eq!(outs.len(), 3);
-        // The 2_000 record completed long before its wait started: it is
-        // stuck behind the 10_000 one (head-of-line blocking).
-        assert!(outs[0].detected_at <= outs[1].detected_at);
-        assert!(outs[1].detected_at <= outs[2].detected_at);
-        assert_eq!(outs[0].detected_at, 10_000 + 105);
-        assert_eq!(outs[1].detected_at, outs[0].detected_at + 105);
-    }
-
-    #[test]
-    fn faulted_batch_with_empty_plan_is_identical() {
-        use xui_faults::{FaultInjector, FaultPlan};
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let completions = [5_000, 9_000, 1_000, 14_000];
-        let clean = w.observe_batch(0, &completions, None);
-        let mut inj = FaultInjector::new(&FaultPlan::named("empty"));
-        let faulted = w.observe_batch(0, &completions, Some(&mut inj));
-        assert_eq!(clean, faulted);
-    }
-
-    #[test]
-    fn reordered_completions_are_deterministic_and_conserve_records() {
-        use xui_faults::{FaultInjector, FaultPlan};
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let completions: Vec<u64> = (0..16).map(|i| 1_000 * (i + 1)).collect();
-        let plan = FaultPlan::named("reorder").seed(11).reorder_completions(4);
-        let mut a_inj = FaultInjector::new(&plan);
-        let a = w.observe_batch(0, &completions, Some(&mut a_inj));
-        let mut b_inj = FaultInjector::new(&plan);
-        let b = w.observe_batch(0, &completions, Some(&mut b_inj));
-        assert_eq!(a, b, "same plan, same permutation");
-        assert_eq!(a.len(), completions.len(), "no record lost or invented");
-        // Detection stays monotonic even when notification order is not.
-        assert!(a.windows(2).all(|p| p[0].detected_at <= p[1].detected_at));
-        // The permutation actually bites for this seed/window.
-        let clean = w.observe_batch(0, &completions, None);
-        assert_ne!(a, clean, "reorder changed per-record outcomes");
     }
 
     #[test]

@@ -571,24 +571,24 @@ impl ProtocolModel {
 
     /// Delivers every deliverable pending user interrupt on `tid`
     /// (handler modelled as instantaneous: deliver → log → `uiret`).
-    /// Returns the vectors delivered, in delivery order.
+    /// Returns the vectors this call delivered, in delivery order: the
+    /// tail it appended to [`ProtocolModel::delivered_log`].
     ///
     /// # Errors
     ///
     /// Returns [`XuiError::ThreadNotRunning`] if the thread is out of
     /// context — delivery only happens to running threads.
-    pub fn run_pending(&mut self, tid: ThreadId) -> Result<Vec<UserVector>, XuiError> {
+    pub fn run_pending(&mut self, tid: ThreadId) -> Result<&[UserVector], XuiError> {
         if self.thread(tid)?.running_on.is_none() {
             return Err(XuiError::ThreadNotRunning { thread: tid.0 });
         }
         let thread = self.thread_mut(tid)?;
-        let mut delivered = Vec::new();
+        let start = thread.delivered.len();
         while let Some(d) = thread.receiver.try_deliver(0, 0) {
-            delivered.push(d.frame.vector);
             thread.delivered.push(d.frame.vector);
             thread.receiver.uiret();
         }
-        Ok(delivered)
+        Ok(&thread.delivered[start..])
     }
 
     /// The `clui` instruction on `tid`: clears UIF, masking user-interrupt
@@ -619,6 +619,15 @@ impl ProtocolModel {
     /// Returns [`XuiError::UnknownThread`] for a bad id.
     pub fn testui(&self, tid: ThreadId) -> Result<bool, XuiError> {
         Ok(self.thread(tid)?.receiver.uif.testui())
+    }
+
+    /// The core `tid` is running on, if it is in context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XuiError::UnknownThread`] for a bad id.
+    pub fn running_on(&self, tid: ThreadId) -> Result<Option<CoreId>, XuiError> {
+        Ok(self.thread(tid)?.running_on)
     }
 
     /// All vectors ever delivered to `tid`, in order.

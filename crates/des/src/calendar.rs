@@ -8,9 +8,9 @@
 //! Every stored key is ordered by `(time, seq)` and `seq` is unique per
 //! scheduled event, so the pop order is a *total* order — no two keys
 //! ever compare equal. Whatever internal structure holds the keys, the
-//! sequence of [`pop`](TieredQueue::pop) results is therefore identical
-//! to the old single-`BinaryHeap` engine, byte for byte. The tiers only
-//! change *how much work* ordering costs, never *what order* comes out.
+//! sequence of `pop` results is therefore identical to the old
+//! single-`BinaryHeap` engine, byte for byte. The tiers only change
+//! *how much work* ordering costs, never *what order* comes out.
 //!
 //! # Structure
 //!
@@ -36,7 +36,7 @@
 //!   the calendar into an O(n) insertion sort, so the queue counts
 //!   spliced element moves *per active run* (the counter resets on each
 //!   bucket activation) and permanently falls back to the heap when one
-//!   run absorbs more than [`DEFAULT_DEGRADE_MOVES`]. Degrading moves
+//!   run absorbs more than `DEFAULT_DEGRADE_MOVES` (2^22). Degrading moves
 //!   every key once and changes nothing about pop order.
 //!
 //! Tombstones (keys whose slab generation no longer matches — cancelled

@@ -57,33 +57,6 @@ impl EventId {
 /// A boxed event action.
 type Action<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
 
-/// Observer hooks for engine activity, used by the telemetry layer to
-/// record schedule/fire/cancel events and queue-depth samples without
-/// the engine depending on any telemetry crate.
-///
-/// All methods have empty default bodies, so a probe implements only
-/// what it cares about. When no probe is installed the engine pays one
-/// `Option` check per operation — nothing else.
-pub trait EngineProbe {
-    /// An event was scheduled at absolute time `at` while the clock read
-    /// `now`; `pending` is the live-event count *after* the insert.
-    fn on_schedule(&mut self, now: SimTime, at: SimTime, pending: usize) {
-        let _ = (now, at, pending);
-    }
-
-    /// An event fired at time `at`; `pending` is the live-event count
-    /// *after* removal (the fired event no longer counts).
-    fn on_fire(&mut self, at: SimTime, pending: usize) {
-        let _ = (at, pending);
-    }
-
-    /// A live event was cancelled at time `now`; `pending` is the count
-    /// *after* the cancellation. Stale/no-op cancels are not reported.
-    fn on_cancel(&mut self, now: SimTime, pending: usize) {
-        let _ = (now, pending);
-    }
-}
-
 /// One slab entry. `gen` is bumped every time the slot is vacated, so
 /// heap keys and `EventId`s carrying an old generation are recognized as
 /// tombstones/stale in O(1).
@@ -122,7 +95,6 @@ pub struct Engine<S> {
     /// Scheduled, not-yet-run, not-cancelled events.
     live: usize,
     executed: u64,
-    probe: Option<Box<dyn EngineProbe>>,
 }
 
 impl<S> Default for Engine<S> {
@@ -163,7 +135,6 @@ impl<S> Engine<S> {
             free: Vec::new(),
             live: 0,
             executed: 0,
-            probe: None,
         }
     }
 
@@ -195,16 +166,6 @@ impl<S> Engine<S> {
     /// benchmarks: 0 engages the calendar from the first event.
     pub fn set_queue_activation(&mut self, keys: usize) {
         self.queue.set_activation(keys);
-    }
-
-    /// Installs an [`EngineProbe`]; replaces any existing probe.
-    pub fn set_probe(&mut self, probe: Box<dyn EngineProbe>) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes and returns the installed probe, if any.
-    pub fn take_probe(&mut self) -> Option<Box<dyn EngineProbe>> {
-        self.probe.take()
     }
 
     /// Current simulation time.
@@ -276,9 +237,6 @@ impl<S> Engine<S> {
         });
         self.seq += 1;
         self.live += 1;
-        if let Some(probe) = &mut self.probe {
-            probe.on_schedule(self.now, time, self.live);
-        }
         EventId::new(slot, gen)
     }
 
@@ -304,9 +262,6 @@ impl<S> Engine<S> {
                 entry.gen = entry.gen.wrapping_add(1);
                 self.free.push(id.slot());
                 self.live -= 1;
-                if let Some(probe) = &mut self.probe {
-                    probe.on_cancel(self.now, self.live);
-                }
             }
         }
     }
@@ -334,9 +289,6 @@ impl<S> Engine<S> {
             debug_assert!(key.time >= self.now, "queue returned out-of-order event");
             self.now = key.time;
             self.executed += 1;
-            if let Some(probe) = &mut self.probe {
-                probe.on_fire(key.time, self.live);
-            }
             action(state, self);
             return true;
         }
@@ -528,51 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_schedule_fire_cancel_exactly() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Log {
-            events: Vec<(&'static str, SimTime, usize)>,
-        }
-        struct TestProbe(Rc<RefCell<Log>>);
-        impl EngineProbe for TestProbe {
-            fn on_schedule(&mut self, _now: SimTime, at: SimTime, pending: usize) {
-                self.0.borrow_mut().events.push(("sched", at, pending));
-            }
-            fn on_fire(&mut self, at: SimTime, pending: usize) {
-                self.0.borrow_mut().events.push(("fire", at, pending));
-            }
-            fn on_cancel(&mut self, now: SimTime, pending: usize) {
-                self.0.borrow_mut().events.push(("cancel", now, pending));
-            }
-        }
-
-        let log = Rc::new(RefCell::new(Log::default()));
-        let mut engine: Engine<()> = Engine::new();
-        engine.set_probe(Box::new(TestProbe(Rc::clone(&log))));
-
-        let _a = engine.schedule_at(10, |_: &mut (), _: &mut Engine<()>| {});
-        let b = engine.schedule_at(20, |_: &mut (), _: &mut Engine<()>| {});
-        engine.cancel(b);
-        engine.cancel(b); // stale: must not be reported
-        engine.run(&mut ());
-        assert!(engine.take_probe().is_some());
-        assert!(engine.take_probe().is_none());
-
-        assert_eq!(
-            log.borrow().events,
-            vec![
-                ("sched", 10, 1),
-                ("sched", 20, 2),
-                ("cancel", 0, 1),
-                ("fire", 10, 0),
-            ]
-        );
-    }
-
-    #[test]
     fn queue_kinds_are_observably_identical_on_a_small_run() {
         let run = |kind: QueueKind| {
             let mut engine: Engine<Vec<u64>> = Engine::with_queue(kind);
@@ -619,6 +526,40 @@ mod tests {
         // horizon, work would be ~4096 * 4096.
         let work = engine.queue_work();
         assert!(work < 4096 * 16, "queue work blew up: {work}");
+    }
+
+    #[test]
+    fn calendar_tier_fires_exactly_like_the_heap() {
+        // A far-future overflow-ladder event stays parked while near
+        // events churn through many run_until horizons: both queue kinds
+        // fire the same events at the same times, and the tiered queue's
+        // work stays linear in executed events (the far timer is not
+        // re-scanned per step).
+        fn tick(fired: &mut Vec<SimTime>, engine: &mut Engine<Vec<SimTime>>) {
+            fired.push(engine.now());
+            if fired.len() < 2000 {
+                engine.schedule_in(250, tick);
+            }
+        }
+        let drive = |kind: QueueKind| {
+            let mut engine: Engine<Vec<SimTime>> = Engine::with_queue(kind);
+            engine.set_queue_activation(0);
+            engine.schedule_at(1 << 40, |s: &mut Vec<SimTime>, _: &mut Engine<_>| s.push(0));
+            engine.schedule_at(1, tick);
+            let mut fired = Vec::new();
+            for h in 1..=500u64 {
+                engine.run_until(&mut fired, h * 1_000);
+            }
+            assert_eq!(fired.len(), 2000);
+            assert_eq!(engine.executed(), 2000);
+            assert_eq!(engine.pending(), 1, "far timer still parked");
+            (fired, engine.queue_work())
+        };
+
+        let (heap_fired, _) = drive(QueueKind::Heap);
+        let (tiered_fired, tiered_work) = drive(QueueKind::Tiered);
+        assert_eq!(heap_fired, tiered_fired);
+        assert!(tiered_work < 2000 * 16, "far event re-scanned: {tiered_work}");
     }
 
     #[test]

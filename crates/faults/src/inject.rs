@@ -1,7 +1,7 @@
 //! Deterministic interpreter for a [`FaultPlan`].
 //!
 //! The injector is a pure state machine over the virtual clock and a
-//! post/completion counter: given the same plan and the same sequence
+//! post counter: given the same plan and the same sequence
 //! of queries it always returns the same answers. All randomness is
 //! derived from the plan seed via `splitmix64`, salted by a stable
 //! index (window number), never by wall-clock or iteration order.
@@ -36,13 +36,11 @@ pub struct InjectionLog {
     pub posts_duplicated: u64,
     /// Times an SN override was in force when queried.
     pub sn_overrides: u64,
-    /// Times a UIF override was in force when queried.
-    pub uif_overrides: u64,
     /// Timer fires that slipped past their deadline.
     pub timer_stalls: u64,
     /// Ring-capacity queries answered with a clamped value.
     pub ring_clamps: u64,
-    /// Elements moved by permutation faults (posts + completions).
+    /// Posts moved by permutation faults.
     pub reordered: u64,
     /// Queries answered with a nonzero interference-burst inflation.
     pub interference_hits: u64,
@@ -66,7 +64,6 @@ pub struct InjectionLog {
 pub struct FaultInjector {
     plan: FaultPlan,
     post_count: u64,
-    completion_count: u64,
     log: InjectionLog,
 }
 
@@ -78,7 +75,6 @@ impl FaultInjector {
         Self {
             plan: plan.clone(),
             post_count: 0,
-            completion_count: 0,
             log: InjectionLog::default(),
         }
     }
@@ -92,12 +88,6 @@ impl FaultInjector {
     /// What the injector has done so far.
     #[must_use]
     pub fn log(&self) -> InjectionLog {
-        self.log
-    }
-
-    /// Consumes the injector, returning its log.
-    #[must_use]
-    pub fn into_log(self) -> InjectionLog {
         self.log
     }
 
@@ -174,19 +164,6 @@ impl FaultInjector {
         end
     }
 
-    /// If the plan forces UIF during `now`, the forced value.
-    pub fn uif_override(&mut self, now: u64) -> Option<bool> {
-        for op in &self.plan.ops {
-            if let FaultOp::FlipUif { from, until, value } = *op {
-                if in_window(now, from, until) {
-                    self.log.uif_overrides += 1;
-                    return Some(value);
-                }
-            }
-        }
-        None
-    }
-
     /// Actual fire time for a timer scheduled at `scheduled`: fires
     /// falling in a stall window slip to the window end.
     pub fn timer_fire_at(&mut self, scheduled: u64) -> u64 {
@@ -247,26 +224,6 @@ impl FaultInjector {
         });
         let Some(window) = window else { return 0 };
         let moved = permute_windows(items, window, self.plan.seed ^ 0x9E37_79B9_7F4A_7C15);
-        self.log.reordered += moved;
-        moved
-    }
-
-    /// Like [`Self::permute_posts`] but for accelerator completions
-    /// (`ReorderCompletions`); windows advance with the running
-    /// completion counter so batches observed one at a time still see
-    /// one global permutation schedule.
-    pub fn permute_completions<T>(&mut self, items: &mut [T]) -> u64 {
-        let window = self.plan.ops.iter().find_map(|op| match *op {
-            FaultOp::ReorderCompletions { window } => Some(window),
-            _ => None,
-        });
-        let Some(window) = window else {
-            self.completion_count += items.len() as u64;
-            return 0;
-        };
-        let salt = self.plan.seed ^ self.completion_count.wrapping_mul(0xA076_1D64_78BD_642F);
-        self.completion_count += items.len() as u64;
-        let moved = permute_windows(items, window, salt);
         self.log.reordered += moved;
         moved
     }
@@ -332,16 +289,13 @@ mod tests {
 
     #[test]
     fn overrides_respect_windows() {
-        let plan = FaultPlan::named("t").flip_sn(100, 200, true).flip_uif(150, 250, false);
+        let plan = FaultPlan::named("t").flip_sn(100, 200, true);
         let mut inj = FaultInjector::new(&plan);
         assert_eq!(inj.sn_override(99), None);
         assert_eq!(inj.sn_override(100), Some(true));
         assert_eq!(inj.sn_override(199), Some(true));
         assert_eq!(inj.sn_override(200), None);
-        assert_eq!(inj.uif_override(149), None);
-        assert_eq!(inj.uif_override(160), Some(false));
         assert_eq!(inj.log().sn_overrides, 2);
-        assert_eq!(inj.log().uif_overrides, 1);
     }
 
     #[test]
@@ -428,25 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_windows_track_global_counter() {
-        let plan = FaultPlan::named("t").seed(9).reorder_completions(4);
-        // Observing 8 completions in one batch vs two batches of 4 may
-        // differ (the salt advances), but each path must self-replay.
-        let mut one = FaultInjector::new(&plan);
-        let mut x: Vec<u32> = (0..4).collect();
-        let mut y: Vec<u32> = (4..8).collect();
-        one.permute_completions(&mut x);
-        one.permute_completions(&mut y);
-        let mut two = FaultInjector::new(&plan);
-        let mut x2: Vec<u32> = (0..4).collect();
-        let mut y2: Vec<u32> = (4..8).collect();
-        two.permute_completions(&mut x2);
-        two.permute_completions(&mut y2);
-        assert_eq!(x, x2);
-        assert_eq!(y, y2);
-    }
-
-    #[test]
     fn interference_bursts_stack_inside_windows() {
         let plan = FaultPlan::named("t")
             .interference_burst(100, 200, 40)
@@ -466,12 +401,11 @@ mod tests {
         let mut inj = FaultInjector::new(&plan);
         assert_eq!(inj.on_post(0), PostAction::Deliver);
         assert_eq!(inj.sn_override(0), None);
-        assert_eq!(inj.uif_override(0), None);
         assert_eq!(inj.timer_fire_at(77), 77);
         assert_eq!(inj.ring_capacity(0, 0, 16), 16);
         let mut v = vec![1, 2, 3];
         assert_eq!(inj.permute_posts(&mut v), 0);
         assert_eq!(v, vec![1, 2, 3]);
-        assert_eq!(inj.into_log(), InjectionLog { posts_seen: 1, ..Default::default() });
+        assert_eq!(inj.log(), InjectionLog { posts_seen: 1, ..Default::default() });
     }
 }

@@ -7,9 +7,9 @@
 //! those claims testable under adversarial conditions:
 //!
 //! - [`plan::FaultPlan`] — a serializable DSL of faults (drop / delay /
-//!   duplicate / reorder posts, flip `SN`/`UIF` in time windows, stall
-//!   the timer core, clamp NIC rings, reorder accelerator completions),
-//!   replayable from `(seed, plan)`;
+//!   duplicate / reorder posts, flip `SN` in time windows, stall the
+//!   timer core, clamp NIC rings, interference bursts), replayable from
+//!   `(seed, plan)`;
 //! - [`inject::FaultInjector`] — the deterministic interpreter consulted
 //!   by the fault-aware run paths in `runtime`, `net` and the scenario
 //!   binaries;

@@ -57,16 +57,6 @@ pub enum FaultOp {
         /// Forced SN value.
         value: bool,
     },
-    /// Force the `UIF` (user-interrupt flag) to `value` while the clock
-    /// is in `[from, until)` — `false` blocks delivery.
-    FlipUif {
-        /// Start of the window (inclusive).
-        from: u64,
-        /// End of the window (exclusive).
-        until: u64,
-        /// Forced UIF value.
-        value: bool,
-    },
     /// Stall the timer source: fires scheduled inside `[from, until)`
     /// slip to `until` (the timer core misses its deadline).
     StallTimer {
@@ -86,12 +76,6 @@ pub enum FaultOp {
         until: u64,
         /// Clamped descriptor count.
         capacity: usize,
-    },
-    /// Permute accelerator completion order inside consecutive windows
-    /// of `window` completions (seeded like [`FaultOp::ReorderPosts`]).
-    ReorderCompletions {
-        /// Window length in completions.
-        window: usize,
     },
     /// Co-located bulk tenants burst on the victim's core while the
     /// clock is in `[from, until)`, inflating delivery-path costs by
@@ -199,12 +183,6 @@ impl FaultPlan {
         self.op(FaultOp::FlipSn { from, until, value })
     }
 
-    /// Forces UIF to `value` during `[from, until)`.
-    #[must_use]
-    pub fn flip_uif(self, from: u64, until: u64, value: bool) -> Self {
-        self.op(FaultOp::FlipUif { from, until, value })
-    }
-
     /// Stalls timer fires scheduled in `[from, until)` to `until`.
     #[must_use]
     pub fn stall_timer(self, from: u64, until: u64) -> Self {
@@ -215,12 +193,6 @@ impl FaultPlan {
     #[must_use]
     pub fn clamp_ring(self, queue: usize, from: u64, until: u64, capacity: usize) -> Self {
         self.op(FaultOp::ClampRing { queue, from, until, capacity })
-    }
-
-    /// Permutes completions within windows of `window`.
-    #[must_use]
-    pub fn reorder_completions(self, window: usize) -> Self {
-        self.op(FaultOp::ReorderCompletions { window })
     }
 
     /// Adds an interference burst: delivery-path costs inflate by `pct`

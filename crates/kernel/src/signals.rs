@@ -1,7 +1,6 @@
 //! POSIX signal delivery model (§2 "Signals: high overheads, imprecise").
 
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{NullRecorder, Recorder};
 
 use crate::costs::OsCosts;
 
@@ -41,34 +40,12 @@ impl SignalModel {
     /// Delivers one signal at `now`; returns when the handler starts and
     /// what the interruption costs in total.
     pub fn deliver(&mut self, now: u64) -> SignalDelivery {
-        self.deliver_traced(now, 0, &mut NullRecorder)
-    }
-
-    /// [`SignalModel::deliver`] with telemetry: records a
-    /// `signal_delivery` span on `core` from the signal's arrival to the
-    /// handler start (the kernel path), carrying the total charged cost
-    /// as an argument. With [`NullRecorder`] this compiles to exactly
-    /// the untraced path.
-    pub fn deliver_traced<R: Recorder>(
-        &mut self,
-        now: u64,
-        core: u32,
-        rec: &mut R,
-    ) -> SignalDelivery {
         self.delivered += 1;
         self.cycles_charged += self.costs.signal_total;
-        let delivery = SignalDelivery {
+        SignalDelivery {
             handler_start: now + self.costs.signal_kernel_path,
             total_cost: self.costs.signal_total,
-        };
-        if rec.enabled() {
-            rec.record(xui_telemetry::Event::begin(now, core, "signal_delivery"));
-            rec.record(
-                xui_telemetry::Event::end(delivery.handler_start, core, "signal_delivery")
-                    .with_arg("total_cost", delivery.total_cost),
-            );
         }
-        delivery
     }
 
     /// Signals delivered so far.
@@ -115,20 +92,5 @@ mod tests {
         let m = SignalModel::new();
         assert_eq!(m.cycles_charged(), 0);
         assert_eq!(m.mean_cost_us(), 0.0);
-    }
-
-    #[test]
-    fn traced_delivery_records_balanced_span() {
-        let mut m = SignalModel::new();
-        let mut rec = xui_telemetry::RingRecorder::new(16);
-        let d = m.deliver_traced(1_000, 3, &mut rec);
-        let events = rec.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0], xui_telemetry::Event::begin(1_000, 3, "signal_delivery"));
-        assert_eq!(events[1].ts, d.handler_start);
-        assert_eq!(events[1].arg("total_cost"), Some(d.total_cost));
-        // Same result as the untraced path.
-        let mut m2 = SignalModel::new();
-        assert_eq!(m2.deliver(1_000), d);
     }
 }

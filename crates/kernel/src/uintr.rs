@@ -132,8 +132,6 @@ pub struct UintrKernel {
     acct: UintrAccounting,
     /// The kernel's own record of each thread, indexed by `ThreadId`.
     threads: Vec<KernelThread>,
-    /// Kernel's own run-queue view: which thread occupies each core.
-    running: Vec<Option<ThreadId>>,
     /// Bitmap allocator over the UPID pool (receiver-side slots).
     upid_alloc: IndexAllocator,
     /// Per-table UITT capacity used when a thread's table is created.
@@ -205,7 +203,6 @@ impl UintrKernel {
             os: OsCosts::paper(),
             acct: UintrAccounting::default(),
             threads: Vec::new(),
-            running: Vec::new(),
             upid_alloc: IndexAllocator::new(upid_slots),
             uitt_slots,
             tables: Recycled::new(),
@@ -226,7 +223,6 @@ impl UintrKernel {
             os: _,
             acct,
             threads,
-            running,
             upid_alloc,
             uitt_slots: _,
             tables,
@@ -234,8 +230,6 @@ impl UintrKernel {
         model.reset(cores);
         *acct = UintrAccounting::default();
         threads.clear();
-        running.clear();
-        running.resize(cores, None);
         upid_alloc.reset(upid_alloc.capacity());
         tables.clear();
     }
@@ -473,9 +467,6 @@ impl UintrKernel {
         self.acct.switches += 1;
         self.acct.switch_cycles += self.os.kthread_switch;
         self.model.schedule(tid, core)?;
-        if let Some(slot) = self.running.get_mut(core.0) {
-            *slot = Some(tid);
-        }
         Ok(())
     }
 
@@ -486,11 +477,7 @@ impl UintrKernel {
     ///
     /// Architectural failures wrapped.
     pub fn deschedule(&mut self, core: CoreId) -> Result<Option<ThreadId>, KernelError> {
-        let out = self.model.deschedule(core)?;
-        if let Some(slot) = self.running.get_mut(core.0) {
-            *slot = None;
-        }
-        Ok(out)
+        Ok(self.model.deschedule(core)?)
     }
 
     /// Tears down a thread: removes it from its core (if running) and
@@ -508,9 +495,8 @@ impl UintrKernel {
             return Err(KernelError::Arch(xui_core::XuiError::UnknownThread { thread: tid.0 }));
         }
         self.syscall(self.costs.teardown_thread);
-        if let Some(core) = self.running.iter().position(|&r| r == Some(tid)) {
-            self.model.deschedule(CoreId(core))?;
-            self.running[core] = None;
+        if let Some(core) = self.model.running_on(tid)? {
+            self.model.deschedule(core)?;
         }
         // Free the thread's UPID-pool slot for reuse.
         if let Some(slot) = self.threads[tid.0].upid_slot.take() {
@@ -684,7 +670,7 @@ impl UintrKernel {
     ///
     /// [`KernelError::ThreadTornDown`] after teardown; architectural
     /// failures wrapped.
-    pub fn run_pending(&mut self, tid: ThreadId) -> Result<Vec<UserVector>, KernelError> {
+    pub fn run_pending(&mut self, tid: ThreadId) -> Result<&[UserVector], KernelError> {
         self.check_live(tid)?;
         self.acct.kernel_free_ops += 1;
         Ok(self.model.run_pending(tid)?)
@@ -966,7 +952,7 @@ mod tests {
         k.schedule(r, CoreId(2)).unwrap();
         k.senduipi(s1, post).unwrap();
         k.senduipi(s2, pre).unwrap();
-        let mut got = k.run_pending(r).unwrap();
+        let mut got = k.run_pending(r).unwrap().to_vec();
         got.sort();
         assert_eq!(got, vec![uv(1), uv(2)]);
     }
@@ -1058,7 +1044,7 @@ mod tests {
             for &(idx, _) in &lanes {
                 k.senduipi(filler, idx).unwrap();
             }
-            let mut got = k.run_pending(r).unwrap();
+            let mut got = k.run_pending(r).unwrap().to_vec();
             got.sort();
             let mut want: Vec<UserVector> = lanes.iter().map(|&(_, v)| v).collect();
             want.push(uv(5));

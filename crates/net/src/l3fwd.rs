@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{Event, NullRecorder, Recorder};
 
 use xui_des::stats::{CycleAccount, Histogram, Summary};
 use xui_faults::{DegradeGuard, FaultInjector, FaultPlan, PostAction};
@@ -150,18 +149,17 @@ fn clamp_ring(
     }
 }
 
-/// Runs the experiment, untraced and without faults.
+/// Runs the experiment without faults.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nics == 0`.
 #[must_use]
 pub fn run_l3fwd(cfg: &L3fwdConfig) -> L3fwdReport {
-    run_l3fwd_with(cfg, None, &mut NullRecorder)
+    run_l3fwd_with(cfg, None)
 }
 
-/// Runs the experiment, optionally under a fault plan, recording
-/// telemetry into `rec`.
+/// Runs the experiment, optionally under a fault plan.
 ///
 /// With `faults`, in [`IoMode::XuiInterrupt`] every wake interrupt
 /// passes through the plan's drop/delay ops and RX rings can be clamped
@@ -171,26 +169,12 @@ pub fn run_l3fwd(cfg: &L3fwdConfig) -> L3fwdReport {
 /// cycles for guaranteed forward progress instead of stranding packets
 /// forever.
 ///
-/// Queue `q` is actor `q`; the worker is actor `cfg.nics`. Every
-/// non-empty RX burst records a `fwd_burst` span on its queue's actor
-/// (argument `pkts` = packets forwarded), and in [`IoMode::XuiInterrupt`]
-/// each wake-to-`uiret` handler activation records an `irq_handler` span
-/// on the worker actor. Under a fault plan it adds a `wake_fault`
-/// instant on the worker actor per injected fault and a
-/// `degrade_to_polling` instant when the fallback engages. With
-/// [`NullRecorder`] the function monomorphizes to the untraced loop,
-/// result-identical by test.
-///
 /// # Panics
 ///
 /// Panics if `cfg.nics == 0`.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn run_l3fwd_with<R: Recorder>(
-    cfg: &L3fwdConfig,
-    faults: Option<&FaultPlan>,
-    rec: &mut R,
-) -> L3fwdReport {
+pub fn run_l3fwd_with(cfg: &L3fwdConfig, faults: Option<&FaultPlan>) -> L3fwdReport {
     assert!(cfg.nics > 0, "need at least one NIC");
     let mut injector = faults.map(FaultInjector::new);
     let mut faults = injector.as_mut();
@@ -246,19 +230,15 @@ pub fn run_l3fwd_with<R: Recorder>(
         .as_ref()
         .map(|inj| DegradeGuard::new(inj.plan().degrade_threshold));
 
-    // Processes up to a burst from queue `qi` at the current time.
-    // Returns packets forwarded. Non-empty bursts record a `fwd_burst`
-    // span on the queue's actor covering the RX-pop → TX-push window.
+    // Processes up to a burst from `q` at the current time. Returns
+    // packets forwarded.
     let process_burst = |q: &mut QueueState,
-                         qi: u32,
                          now: &mut u64,
                          latency: &mut Histogram,
                          account: &mut CycleAccount,
                          lpm: &Lpm,
-                         cfg: &L3fwdConfig,
-                         rec: &mut R|
+                         cfg: &L3fwdConfig|
      -> u64 {
-        let start = *now;
         let mut done = 0;
         while done < cfg.burst as u64 {
             let Some(pkt) = q.ring.pop() else { break };
@@ -270,10 +250,6 @@ pub fn run_l3fwd_with<R: Recorder>(
             // Send back out the same NIC (§5.4, 1-NIC methodology).
             q.tx.push(*now, pkt);
             done += 1;
-        }
-        if done > 0 && rec.enabled() {
-            rec.record(Event::begin(start, qi, "fwd_burst"));
-            rec.record(Event::end(*now, qi, "fwd_burst").with_arg("pkts", done));
         }
         done
     };
@@ -292,13 +268,11 @@ pub fn run_l3fwd_with<R: Recorder>(
                     account.add("networking", cfg.poll_cost);
                     forwarded += process_burst(
                         q,
-                        qi as u32,
                         &mut now,
                         &mut latency,
                         &mut account,
                         &lpm,
                         cfg,
-                        rec,
                     );
                 }
                 qi = (qi + 1) % cfg.nics;
@@ -332,9 +306,7 @@ pub fn run_l3fwd_with<R: Recorder>(
                         match inj.on_post(next) {
                             PostAction::Drop => {
                                 wake_faults += 1;
-                                rec.instant(next, cfg.nics as u32, "wake_fault");
                                 if guard.as_mut().is_some_and(DegradeGuard::fault) {
-                                    rec.instant(next, cfg.nics as u32, "degrade_to_polling");
                                     break;
                                 }
                                 let q = &mut queues[wq];
@@ -343,9 +315,7 @@ pub fn run_l3fwd_with<R: Recorder>(
                             }
                             PostAction::Delay(by) => {
                                 wake_faults += 1;
-                                rec.instant(next, cfg.nics as u32, "wake_fault");
                                 if guard.as_mut().is_some_and(DegradeGuard::fault) {
-                                    rec.instant(next, cfg.nics as u32, "degrade_to_polling");
                                     break;
                                 }
                                 wake_at = next + by;
@@ -365,7 +335,6 @@ pub fn run_l3fwd_with<R: Recorder>(
                     now = wake_at;
                 }
                 // Forwarded tracked interrupt wakes the thread.
-                rec.begin(now, cfg.nics as u32, "irq_handler");
                 now += cfg.wake_cost;
                 account.add("interrupt", cfg.wake_cost);
                 // Handler: drain rotations until one full pass finds
@@ -381,13 +350,11 @@ pub fn run_l3fwd_with<R: Recorder>(
                         loop {
                             let got = process_burst(
                                 q,
-                                qi as u32,
                                 &mut now,
                                 &mut latency,
                                 &mut account,
                                 &lpm,
                                 cfg,
-                                rec,
                             );
                             forwarded += got;
                             if got == 0 {
@@ -404,7 +371,6 @@ pub fn run_l3fwd_with<R: Recorder>(
                 }
                 now += cfg.uiret_cost;
                 account.add("interrupt", cfg.uiret_cost);
-                rec.end(now, cfg.nics as u32, "irq_handler");
                 if now >= cfg.duration {
                     break;
                 }
@@ -427,13 +393,11 @@ pub fn run_l3fwd_with<R: Recorder>(
                         account.add("networking", cfg.poll_cost);
                         forwarded += process_burst(
                             q,
-                            qi as u32,
                             &mut now,
                             &mut latency,
                             &mut account,
                             &lpm,
                             cfg,
-                            rec,
                         );
                     }
                     qi = (qi + 1) % cfg.nics;
@@ -551,31 +515,6 @@ mod tests {
         assert_eq!(a.forwarded, b.forwarded);
         assert_eq!(a.latency.p95, b.latency.p95);
     }
-
-    #[test]
-    fn traced_run_is_result_identical_and_balanced() {
-        let mut cfg = L3fwdConfig::paper(2, 0.4, IoMode::XuiInterrupt);
-        cfg.duration = 2_000_000; // 1 ms
-        let untraced = run_l3fwd(&cfg);
-        let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let traced = run_l3fwd_with(&cfg, None, &mut rec);
-        assert_eq!(traced.forwarded, untraced.forwarded);
-        assert_eq!(traced.latency.p99, untraced.latency.p99);
-        assert_eq!(traced.account, untraced.account);
-
-        let events = rec.events();
-        assert_eq!(rec.dropped(), 0);
-        let bursts = events.iter().filter(|e| e.name == "fwd_burst").count();
-        assert!(bursts >= 2, "begin/end burst spans recorded");
-        let burst_pkts: u64 = events
-            .iter()
-            .filter_map(|e| e.arg("pkts"))
-            .sum();
-        assert_eq!(burst_pkts, untraced.forwarded, "span args account every packet");
-        assert!(events.iter().any(|e| e.name == "irq_handler"));
-        let doc = xui_telemetry::chrome::trace_json(&events);
-        xui_telemetry::chrome::validate(&doc).expect("balanced l3fwd trace");
-    }
 }
 
 #[cfg(test)]
@@ -583,7 +522,7 @@ mod fault_tests {
     use super::*;
 
     fn faulted(cfg: &L3fwdConfig, plan: &FaultPlan) -> L3fwdReport {
-        run_l3fwd_with(cfg, Some(plan), &mut NullRecorder)
+        run_l3fwd_with(cfg, Some(plan))
     }
 
     fn cfg(load: f64, mode: IoMode) -> L3fwdConfig {

@@ -12,7 +12,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{Event, NullRecorder, Recorder};
 
 use xui_core::CostModel;
 use xui_des::dist::PoissonProcess;
@@ -210,14 +209,14 @@ struct Worker {
     busy: u64,
 }
 
-/// Runs the simulation described by `cfg`, untraced and without faults.
+/// Runs the simulation described by `cfg` without faults.
 #[must_use]
 pub fn run_server(cfg: &ServerConfig) -> ServerReport {
-    run_server_with(cfg, None, &mut NullRecorder)
+    run_server_with(cfg, None)
 }
 
 /// Runs the simulation described by `cfg`, optionally under a fault
-/// plan, recording telemetry into `rec`.
+/// plan.
 ///
 /// With `faults`, preemption-timer fires pass through the plan's
 /// drop/delay/stall ops, and once the consecutive fault streak crosses
@@ -225,24 +224,9 @@ pub fn run_server(cfg: &ServerConfig) -> ServerReport {
 /// path and falls back to safepoint polling (fires keep the quantum
 /// cadence but bypass the injector), keeping the run live instead of
 /// losing preemption entirely.
-///
-/// Per worker (the event actor) this records: an `arrival` instant per
-/// request (class argument: 0 = GET, 1 = SCAN), a `run` span from
-/// dispatch to completion or preemption, a `preempt` instant per forced
-/// switch, a `timer_fire` instant per quantum fire that found work
-/// running, a `steal` instant per cross-worker steal, and a `park`
-/// instant when a worker goes idle. Under a fault plan it adds a
-/// `timer_fault` instant per injected fault and a `degrade_to_polling`
-/// instant at the moment the fallback engages. With [`NullRecorder`]
-/// the instrumentation monomorphizes away and the function is the
-/// untraced simulation, result-identical by test.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn run_server_with<R: Recorder>(
-    cfg: &ServerConfig,
-    faults: Option<&FaultPlan>,
-    rec: &mut R,
-) -> ServerReport {
+pub fn run_server_with(cfg: &ServerConfig, faults: Option<&FaultPlan>) -> ServerReport {
     let mut injector = faults.map(FaultInjector::new);
     let mut faults = injector.as_mut();
 
@@ -292,15 +276,9 @@ pub fn run_server_with<R: Recorder>(
                 let tid = threads.len();
                 threads.push(Uthread::new(UthreadId(tid), class, t, service));
                 queue.push(tid % cfg.workers, tid);
-                if rec.enabled() {
-                    rec.record(
-                        Event::instant(t, (tid % cfg.workers) as u32, "arrival")
-                            .with_arg("class", u64::from(class == RequestClass::Scan)),
-                    );
-                }
                 // Wake an idle worker.
                 if let Some(w) = workers.iter().position(|w| w.running.is_none()) {
-                    dispatch_at(w, t, &mut workers, &mut queue, &mut pending, &threads, rec);
+                    dispatch_at(w, t, &mut workers, &mut queue, &mut pending, &threads);
                 }
                 if t < cfg.duration {
                     let next = arrivals.next_arrival(&mut rng).max(t + 1);
@@ -328,14 +306,7 @@ pub fn run_server_with<R: Recorder>(
                         completed_scans += 1;
                     }
                 }
-                if rec.enabled() {
-                    rec.record(
-                        Event::end(t, worker as u32, "run")
-                            .with_arg("tid", run.tid as u64)
-                            .with_arg("sojourn", sojourn),
-                    );
-                }
-                dispatch_at(worker, t, &mut workers, &mut queue, &mut pending, &threads, rec);
+                dispatch_at(worker, t, &mut workers, &mut queue, &mut pending, &threads);
             }
             Ev::Fire { worker } => {
                 // Fault injection on the interrupt path: the fire may be
@@ -362,11 +333,9 @@ pub fn run_server_with<R: Recorder>(
                         };
                         if let Some(mut at) = resched {
                             timer_faults += 1;
-                            rec.instant(t, worker as u32, "timer_fault");
                             if guard.as_mut().is_some_and(DegradeGuard::fault) {
                                 // Fallback engages now: resume the plain
                                 // quantum cadence immediately.
-                                rec.instant(t, worker as u32, "degrade_to_polling");
                                 at = t + cfg.quantum;
                             }
                             if at < cfg.duration.saturating_add(cfg.quantum * 4) {
@@ -390,7 +359,6 @@ pub fn run_server_with<R: Recorder>(
                 if t <= run.progress_from {
                     continue; // still inside an overhead window
                 }
-                rec.instant(t, worker as u32, "timer_fire");
                 let executed = t - run.progress_from;
                 let ran_long_enough = t.saturating_sub(run.started_at) >= cfg.quantum;
                 let should_switch = ran_long_enough && !queue.is_empty();
@@ -407,23 +375,7 @@ pub fn run_server_with<R: Recorder>(
                     workers[worker].epoch += 1;
                     workers[worker].running = None;
                     queue.push(worker, tid);
-                    if rec.enabled() {
-                        rec.record(Event::end(t, worker as u32, "run").with_arg("tid", tid as u64));
-                        rec.record(
-                            Event::instant(t, worker as u32, "preempt")
-                                .with_arg("tid", tid as u64)
-                                .with_arg("cost", cost),
-                        );
-                    }
-                    dispatch_at(
-                        worker,
-                        t + cost,
-                        &mut workers,
-                        &mut queue,
-                        &mut pending,
-                        &threads,
-                        rec,
-                    );
+                    dispatch_at(worker, t + cost, &mut workers, &mut queue, &mut pending, &threads);
                 } else {
                     // Fire without a switch: the handler runs, decides to
                     // resume the same thread; only the delivery +
@@ -473,28 +425,19 @@ pub fn run_server_with<R: Recorder>(
     }
 }
 
-fn dispatch_at<R: Recorder>(
+fn dispatch_at(
     worker: usize,
     t: u64,
     workers: &mut [Worker],
     queue: &mut StealQueues<usize>,
     pending: &mut Pending,
     threads: &[Uthread],
-    rec: &mut R,
 ) {
     // FIFO from the worker's own queue for fairness; steal the oldest
     // work from the most loaded peer when idle.
-    let steals_before = queue.steals;
     let Some(tid) = queue.pop_fifo_or_steal(worker) else {
-        rec.instant(t, worker as u32, "park");
         return;
     };
-    if rec.enabled() {
-        if queue.steals > steals_before {
-            rec.instant(t, worker as u32, "steal");
-        }
-        rec.record(Event::begin(t, worker as u32, "run").with_arg("tid", tid as u64));
-    }
     workers[worker].epoch += 1;
     let epoch = workers[worker].epoch;
     workers[worker].running = Some(Running {
@@ -582,32 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_is_result_identical_and_balanced() {
-        let mut cfg = ServerConfig::paper(PreemptMechanism::XuiKbTimer, 80_000.0);
-        cfg.duration = 20_000_000; // 10 ms
-        let untraced = run_server(&cfg);
-        let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let traced = run_server_with(&cfg, None, &mut rec);
-        assert_eq!(traced.completed_gets, untraced.completed_gets);
-        assert_eq!(traced.preemptions, untraced.preemptions);
-        assert_eq!(traced.get_latency.p999, untraced.get_latency.p999);
-
-        let events = rec.events();
-        assert_eq!(rec.dropped(), 0, "ring must hold the whole short run");
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
-        assert_eq!(
-            count("arrival"),
-            untraced.completed_gets + untraced.completed_scans + untraced.unfinished
-        );
-        assert_eq!(count("preempt"), untraced.preemptions);
-        assert!(count("run") >= 2, "begin+end run spans present");
-        // Export balances (auto-closing any span still open at horizon).
-        let doc = xui_telemetry::chrome::trace_json(&events);
-        let check = xui_telemetry::chrome::validate(&doc).expect("valid server trace");
-        assert!(check.span_pairs > 0);
-    }
-
-    #[test]
     fn deterministic_under_fixed_seed() {
         let a = quick(PreemptMechanism::XuiKbTimer, 80_000.0);
         let b = quick(PreemptMechanism::XuiKbTimer, 80_000.0);
@@ -633,7 +550,7 @@ mod fault_tests {
     use super::*;
 
     fn faulted(cfg: &ServerConfig, plan: &FaultPlan) -> ServerReport {
-        run_server_with(cfg, Some(plan), &mut NullRecorder)
+        run_server_with(cfg, Some(plan))
     }
 
     fn cfg(rps: f64) -> ServerConfig {
@@ -696,19 +613,6 @@ mod fault_tests {
         assert_eq!(a.timer_faults, b.timer_faults);
         assert_eq!(a.preemptions, b.preemptions);
         assert_eq!(a.get_latency.p999, b.get_latency.p999);
-    }
-
-    #[test]
-    fn faulted_trace_records_fault_instants() {
-        let mut c = cfg(80_000.0);
-        c.duration = 10_000_000;
-        let plan = FaultPlan::named("dead-timer").drop_every(1, 1).degrade_after(4);
-        let mut rec = xui_telemetry::RingRecorder::new(1 << 20);
-        let r = run_server_with(&c, Some(&plan), &mut rec);
-        let events = rec.events();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
-        assert_eq!(count("timer_fault"), r.timer_faults);
-        assert_eq!(count("degrade_to_polling"), 1);
     }
 }
 

@@ -17,7 +17,7 @@ use xui_faults::{
 use xui_kernel::{KernelError, RetryPolicy, UintrKernel};
 use xui_net::l3fwd::{run_l3fwd, run_l3fwd_with, IoMode, L3fwdConfig};
 use xui_runtime::server::{run_server_with, ServerConfig};
-use xui_telemetry::{Event, NullRecorder};
+use xui_telemetry::Event;
 
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
@@ -136,7 +136,7 @@ fn scenario_server_stall() -> Outcome {
     let mut cfg = ServerConfig::paper(xui_kernel::PreemptMechanism::XuiKbTimer, 100_000.0);
     cfg.duration = 60_000_000;
     let plan = FaultPlan::named("timer-stall-window").stall_timer(5_000_000, 20_000_000);
-    let r = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
+    let r = run_server_with(&cfg, Some(&plan));
     let passed = r.timer_faults > 0 && !r.degraded_to_polling && r.stable && r.preemptions > 0;
     Outcome {
         name: "server_timer_stall_window",
@@ -162,7 +162,7 @@ fn scenario_server_degrade() -> Outcome {
     // Every fire is lost; the guard trips after 8 and safepoint polling
     // restores preemption instead of the run collapsing (or panicking).
     let plan = FaultPlan::named("dead-timer-guarded").drop_every(1, 1).degrade_after(8);
-    let r = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
+    let r = run_server_with(&cfg, Some(&plan));
     let passed = r.degraded_to_polling && r.stable && r.preemptions > 100;
     Outcome {
         name: "server_dead_timer_degrades_to_polling",
@@ -190,7 +190,7 @@ fn scenario_l3fwd_degrade() -> Outcome {
     cfg.duration = 8_000_000;
     let clean = run_l3fwd(&cfg);
     let plan = FaultPlan::named("dead-irq-guarded").drop_every(1, 1).degrade_after(8);
-    let r = run_l3fwd_with(&cfg, Some(&plan), &mut NullRecorder);
+    let r = run_l3fwd_with(&cfg, Some(&plan));
     let recovered = r.forwarded as f64 > clean.forwarded as f64 * 0.9;
     let passed = r.degraded_to_polling && recovered;
     Outcome {

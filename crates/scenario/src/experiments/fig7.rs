@@ -7,7 +7,6 @@ use serde::Serialize;
 use xui_faults::FaultPlan;
 use xui_kernel::PreemptMechanism;
 use xui_runtime::{run_server_with, ServerConfig};
-use xui_telemetry::NullRecorder;
 
 use super::run_sweep;
 use crate::{BenchOpts, Sweep, Table};
@@ -45,7 +44,7 @@ pub(crate) fn run(
         .collect();
     let rows = run_sweep(Sweep::new(points), bench, |&(m, krps), _ctx| {
         let cfg = ServerConfig::paper(m, krps * 1_000.0);
-        let r = run_server_with(&cfg, faults, &mut NullRecorder);
+        let r = run_server_with(&cfg, faults);
         Row {
             mechanism: mech_name(m),
             offered_krps: krps,

@@ -7,7 +7,6 @@ use serde::Serialize;
 
 use xui_faults::FaultPlan;
 use xui_net::{run_l3fwd_with, IoMode, L3fwdConfig};
-use xui_telemetry::NullRecorder;
 
 use super::run_sweep;
 use crate::{pct, AsciiChart, BenchOpts, Sweep, Table};
@@ -53,7 +52,7 @@ pub(crate) fn run(
         bench,
         |&(nics, load, mode, name), _ctx| {
             let cfg = L3fwdConfig::paper(nics, load, mode);
-            let r = run_l3fwd_with(&cfg, faults, &mut NullRecorder);
+            let r = run_l3fwd_with(&cfg, faults);
             let total = r.account.total().max(1) as f64;
             Row {
                 nics,

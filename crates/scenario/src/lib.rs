@@ -1,7 +1,7 @@
 //! # xui-scenario
 //!
 //! The declarative scenario layer: one composition path for every
-//! experiment in the reproduction. A [`Scenario`](spec::Scenario) is a
+//! experiment in the reproduction. A [`Scenario`] is a
 //! serde-serializable spec — banner text, an optional fault plan and
 //! base seed, and one [`Experiment`] variant whose payload struct
 //! carries the workloads, sweep axes and constants — that [`runner::run`] hands to its experiment module. The execution

@@ -1,5 +1,5 @@
 //! The self-load benchmark behind the `serve_load` binary: start an
-//! in-process [`Server`](crate::Server), submit a run, attach a
+//! in-process [`Server`], submit a run, attach a
 //! population of live SSE subscribers (one deliberately slow), and
 //! drive open-loop request churn against the status endpoints — the
 //! same [`ClientPopulation`] arrival model the DES experiments use,

@@ -37,7 +37,6 @@
 
 pub mod broadcast;
 pub mod chrome;
-pub mod des_probe;
 pub mod event;
 pub mod metrics;
 pub mod recorder;
@@ -46,7 +45,6 @@ pub use broadcast::{
     BroadcastHub, BroadcastRecorder, BroadcastSubscriber, StreamItem, SubscriberStats,
 };
 pub use chrome::{trace_json, trace_json_grouped, validate, TraceCheck, TraceGroup};
-pub use des_probe::DesProbe;
 pub use event::{Args, Event, Phase, MAX_ARGS};
 pub use metrics::{Gauge, MetricsShard, MetricsSnapshot, Registry};
 pub use recorder::{event_json_line, NullRecorder, Recorder, RingRecorder};

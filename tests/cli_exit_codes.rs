@@ -292,3 +292,38 @@ fn scenario_file_missing_a_float_field_exits_2_naming_it() {
     assert!(stderr(&out).contains("slo_us"), "{}", stderr(&out));
     assert!(!ran, "the experiment ran on a NaN SLO");
 }
+
+#[test]
+fn fault_plan_with_a_removed_op_exits_2_naming_it() {
+    // Regression: two ops that no workload read used to parse, so a
+    // plan declaring them ran clean. They are no longer fault ops.
+    let show = xui(&["show", "fig7_rocksdb"]);
+    assert_eq!(show.status.code(), Some(0), "stderr: {}", stderr(&show));
+    let text = String::from_utf8(show.stdout).expect("utf-8 scenario");
+    assert!(text.contains("\n  \"faults\": null,"), "{text}");
+    let dir = tmp_path("fig7-removed-op");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (variant, op) in [
+        ("FlipUif", r#"{"FlipUif": {"from": 0, "until": 10, "value": false}}"#),
+        ("ReorderCompletions", r#"{"ReorderCompletions": {"window": 4}}"#),
+    ] {
+        let plan = format!(
+            r#"{{"name": "removed", "seed": 0, "ops": [{op}], "degrade_threshold": 8}}"#
+        );
+        let file = format!("{variant}.json");
+        std::fs::write(
+            dir.join(&file),
+            text.replacen("\"faults\": null", &format!("\"faults\": {plan}"), 1),
+        )
+        .expect("write temp scenario");
+        let out = run_file_in(&dir, &file, &[]);
+        assert_eq!(out.status.code(), Some(2), "{variant} stderr: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown variant `{variant}`")),
+            "{variant}: {}",
+            stderr(&out)
+        );
+        assert!(!dir.join("results").exists(), "{variant}: the experiment ran");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

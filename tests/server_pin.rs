@@ -9,7 +9,6 @@
 use xui::faults::FaultPlan;
 use xui::kernel::PreemptMechanism;
 use xui::runtime::{run_server, run_server_with, ServerConfig};
-use xui::telemetry::NullRecorder;
 
 const MECHANISMS: [PreemptMechanism; 4] = [
     PreemptMechanism::None,
@@ -110,7 +109,7 @@ fn server_reports_match_frozen_digests() {
                 cfg.workers = workers;
                 cfg.duration = 120_000_000; // 60 ms
                 let clean = run_server(&cfg);
-                let faulted = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
+                let faulted = run_server_with(&cfg, Some(&plan));
                 if !matches!(mechanism, PreemptMechanism::None) {
                     assert!(faulted.timer_faults > 0, "{mechanism:?} {rps} {workers}: plan bites");
                 }
@@ -136,7 +135,7 @@ fn segment_ends_superseded_at_the_horizon_still_end_the_run() {
         cfg.workers = workers;
         cfg.duration = 120_000_000;
         cfg.seed = seed;
-        let report = run_server_with(&cfg, Some(&plan), &mut NullRecorder);
+        let report = run_server_with(&cfg, Some(&plan));
         assert_eq!(
             fnv1a(format!("{report:?}").as_bytes()),
             want,
